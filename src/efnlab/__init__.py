@@ -23,10 +23,8 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .estimator import (
-    EfnAccumulator,
     EfnEstimate,
     PhaseMse,
-    accumulate,
     pearson_correlation,
     phase_error,
     phase_mse,
@@ -39,7 +37,6 @@ from .experiment import (
     TrialResult,
     aggregate_trials,
     fit_loglog_slope,
-    gumbel_standard_ppf,
     ks_statistic,
     observation_rng,
     run_experiment,
@@ -74,14 +71,12 @@ from .theory import (
     Lemma1Report,
     alignment_moments,
     build_conditional_gaussian,
-    estimate_ck,
     estimate_ck_profile,
     gumbel_constants,
     lemma1_check,
     m_star,
     predict_magnitude,
     predict_phase_mse,
-    prediction_rows,
     sample_cyclostationary,
     softmax_expectation,
 )

@@ -4,7 +4,9 @@ The shift assigned to a noise observation n is the argmax over cyclic lags l
 of <n, T_l x>, where T_l is the cyclic shift and x the template.  Three
 routes compute the same correlation sequence:
 
-* :func:`correlation_sequence`   -- FFT-based, O(d log d), the production path;
+* :func:`align_rows`             -- FFT-based, O(d log d), the production kernel
+  behind :func:`correlation_sequence`, :func:`estimate_shift`, the trial loop
+  and the ``C_k`` Monte-Carlo;
 * :func:`correlation_oracle`     -- direct O(d^2) sums, the test reference;
 * :func:`fourier_correlation_sequence` -- the magnitude/phase cosine-sum form,
   assembled from polar spectra.  Under the unitary convention it equals the
@@ -14,20 +16,45 @@ routes compute the same correlation sequence:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator
 
 import numpy as np
 
 from .errors import LengthMismatchError
 from .signals import NoiseSample, TemplateSignal, circular_shift
 
-ArrayLike = Union[np.ndarray, list, tuple]
+#: Doubles per row chunk: loops over many observations align
+#: ``max(1, BUDGET // d)`` rows at a time, so their peak memory is O(BUDGET)
+#: whatever the observation count.  The loops sum chunks in row order, so
+#: their results do not depend on it.
+BUDGET = 1 << 19
 
 
 def _noise_samples(noise) -> np.ndarray:
     if isinstance(noise, NoiseSample):
         return noise.samples
     return np.asarray(noise, dtype=float)
+
+
+def chunks(count: int, d: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) bounds of the fixed-size row chunks that cover ``count`` rows."""
+    step = max(1, BUDGET // d)
+    for start in range(0, count, step):
+        yield start, min(start + step, count)
+
+
+def align_rows(rows: np.ndarray, template: TemplateSignal):
+    """Align each row of an (m, d) block against the template.
+
+    Returns ``(shifts, corr, spec)``: the argmax lag of each row (exact ties
+    go to the smallest index), the (m, d) correlation rows, entry l of which
+    is <row, T_l x>, and the rows' (m, d/2+1) unnormalized rfft.
+    """
+    if rows.shape[-1] != template.d:
+        raise LengthMismatchError(f"noise length {rows.shape[-1]} != template length {template.d}")
+    spec = np.fft.rfft(rows, axis=1)
+    corr = np.fft.irfft(spec * np.conj(np.fft.rfft(template.samples))[None, :], template.d, axis=1)
+    return np.argmax(corr, axis=1), corr, spec
 
 
 @dataclass(frozen=True)
@@ -41,18 +68,12 @@ class AlignmentResult:
 
     shift: int
     peak_value: float
-    correlation: Optional[np.ndarray] = None
     degenerate: bool = False
 
 
 def correlation_sequence(noise, template: TemplateSignal) -> np.ndarray:
     """Entry l equals <n, T_l x>, computed via fast transforms."""
-    n = _noise_samples(noise)
-    if n.size != template.d:
-        raise LengthMismatchError(f"noise length {n.size} != template length {template.d}")
-    spec_n = np.fft.rfft(n)
-    spec_x = np.fft.rfft(template.samples)
-    return np.fft.irfft(spec_n * np.conj(spec_x), template.d)
+    return align_rows(_noise_samples(noise)[None, :], template)[1][0]
 
 
 def correlation_oracle(noise, template: TemplateSignal) -> np.ndarray:
@@ -88,7 +109,7 @@ def fourier_correlation_sequence(noise, template: TemplateSignal) -> np.ndarray:
     return (d * np.fft.ifft(c)).real
 
 
-def estimate_shift(noise, template: TemplateSignal, *, keep_sequence: bool = False) -> AlignmentResult:
+def estimate_shift(noise, template: TemplateSignal) -> AlignmentResult:
     """Align one observation against the template.
 
     Raises
@@ -97,12 +118,11 @@ def estimate_shift(noise, template: TemplateSignal, *, keep_sequence: bool = Fal
         If the template spectrum fails the non-vanishing floor.
     """
     template.require_alignable()
-    corr = correlation_sequence(noise, template)
-    degenerate = bool(np.all(corr == corr[0]))
-    shift = 0 if degenerate else int(np.argmax(corr))
+    shifts, corr, _ = align_rows(_noise_samples(noise)[None, :], template)
+    shift = int(shifts[0])
+    corr = corr[0]
     return AlignmentResult(
         shift=shift,
         peak_value=float(corr[shift]),
-        correlation=corr if keep_sequence else None,
-        degenerate=degenerate,
+        degenerate=bool(np.all(corr == corr[0])),
     )

@@ -67,8 +67,10 @@ def _write_manifest(out_dir: Path, command: str, config_doc: dict, outputs: list
 
 
 def _resolve_workers(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
+    if args.threads is not None:
+        if args.threads < 1:
+            raise InvalidArgumentError(f"--threads must be >= 1, got {args.threads}")
+        return args.threads
     env = os.environ.get("EFN_THREADS", "")
     if env.strip():
         try:

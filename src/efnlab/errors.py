@@ -9,11 +9,11 @@ class LengthMismatchError(InvalidArgumentError):
     """Two sequences that must share a length do not."""
 
 
-class RejectedTemplateError(ValueError):
+class RejectedTemplateError(InvalidArgumentError):
     """Template spectrum falls below the non-vanishing floor; unusable for alignment."""
 
 
-class ExcludedBinError(ValueError):
+class ExcludedBinError(InvalidArgumentError):
     """Frequency bin is excluded from phase statistics (zero magnitude or zero-DC)."""
 
 

@@ -1,41 +1,22 @@
-"""The align-and-average estimator and its phase/magnitude error metrics.
+"""The align-and-average estimate and its phase/magnitude error metrics.
 
 Averaging pure-noise observations after aligning each to a template produces
 an estimate whose Fourier phases drift toward the template's -- the model
-bias this package studies.  The accumulator here keeps exact (integer
-fixed-point) running sums so that merging partial accumulators is associative
-and commutative bit-for-bit, no matter how observations were partitioned
-across workers.
+bias this package studies.  The averaging itself runs in
+:func:`efnlab.experiment.run_trial`; this module holds the finalized estimate
+and the metrics that compare it with the template.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .alignment import estimate_shift
-from .errors import (
-    ExcludedBinError,
-    InsufficientDataError,
-    InvalidArgumentError,
-    LengthMismatchError,
-    UndefinedCorrelationError,
-)
-from .signals import NoiseSample, SpectralRepr, TemplateSignal, circular_shift, dft, wrap_phase
-
-# Scale for exact fixed-point accumulation: every finite float64 is an integer
-# multiple of 2^-1074, so multiplying by 2^1074 embeds it exactly in Z.
-_FIXED_EXP = 1074
-_FIXED_DEN = 1 << _FIXED_EXP
-
-
-def _to_fixed(v: float) -> int:
-    p, q = float(v).as_integer_ratio()
-    return p * (_FIXED_DEN // q)
+from .errors import InsufficientDataError, LengthMismatchError, UndefinedCorrelationError
+from .signals import SpectralRepr, TemplateSignal, dft, wrap_phase
 
 
 @dataclass(frozen=True)
@@ -53,73 +34,6 @@ class EfnEstimate:
         return cls(samples=x, spectrum=dft(x), M=int(M))
 
 
-class EfnAccumulator:
-    """Streaming sum of aligned noise observations.
-
-    Each accumulated observation is shifted back by the negative of its
-    estimated alignment shift and added to the running sum.  Running sums are
-    exact, so ``a.merge(b)`` equals accumulating the union of their
-    observations in any order, exactly.
-    """
-
-    def __init__(self, template: TemplateSignal):
-        self.template = template
-        self._sums = [0] * template.d
-        self.count = 0
-
-    @property
-    def running_sum(self) -> np.ndarray:
-        """Running sum as float64 (each entry correctly rounded)."""
-        return np.asarray([float(Fraction(s, _FIXED_DEN)) for s in self._sums])
-
-    def accumulate(self, noise: NoiseSample) -> "EfnAccumulator":
-        """Align one observation and add it to the running sum."""
-        if noise.d != self.template.d:
-            raise LengthMismatchError(
-                f"noise length {noise.d} != template length {self.template.d}"
-            )
-        r = estimate_shift(noise, self.template).shift
-        aligned = circular_shift(noise.samples, -r)
-        for i, v in enumerate(aligned.tolist()):
-            self._sums[i] += _to_fixed(v)
-        self.count += 1
-        return self
-
-    def merge(self, other: "EfnAccumulator") -> "EfnAccumulator":
-        """Combine accumulators filled over disjoint observation sets."""
-        if other.template.d != self.template.d or not np.array_equal(
-            other.template.samples, self.template.samples
-        ):
-            raise InvalidArgumentError("cannot merge accumulators built on different templates")
-        out = EfnAccumulator(self.template)
-        out._sums = [a + b for a, b in zip(self._sums, other._sums)]
-        out.count = self.count + other.count
-        return out
-
-    def finalize(self) -> EfnEstimate:
-        """Divide by the observation count; requires count >= 1."""
-        if self.count < 1:
-            raise InsufficientDataError("cannot finalize an empty accumulator")
-        den = self.count * _FIXED_DEN
-        samples = np.asarray([float(Fraction(s, den)) for s in self._sums])
-        return EfnEstimate.from_samples(samples, self.count)
-
-
-def accumulate(acc: EfnAccumulator, noise: NoiseSample) -> EfnAccumulator:
-    """Functional alias for :meth:`EfnAccumulator.accumulate`."""
-    return acc.accumulate(noise)
-
-
-def _check_bin(template: TemplateSignal, k: int):
-    if not (0 <= k <= template.d - 1):
-        raise InvalidArgumentError(f"frequency index {k} out of range for d={template.d}")
-    mags = template.spectrum.magnitudes
-    if mags[k] <= template.floor * mags.max():
-        raise ExcludedBinError(
-            f"bin {k} excluded: template magnitude {mags[k]:.3e} is at or below the floor"
-        )
-
-
 def phase_error(estimate: EfnEstimate, template: TemplateSignal, k: int) -> float:
     """Wrapped phase difference of the estimate against the template at bin k.
 
@@ -127,7 +41,7 @@ def phase_error(estimate: EfnEstimate, template: TemplateSignal, k: int) -> floa
     where the template magnitude sits at the floor (in particular a zeroed DC)
     raise ExcludedBinError.
     """
-    _check_bin(template, k)
+    template.require_bin(k)
     raw = estimate.spectrum.phases[k] - template.spectrum.phases[k]
     return float(wrap_phase(raw))
 

@@ -3,8 +3,10 @@
 Reproducibility scheme: every observation gets its own RNG stream derived
 from ``SeedSequence(master_seed, spawn_key=(trial_index, observation_index))``,
 so no (trial, observation) pair ever shares a stream and results cannot
-depend on scheduling.  Trials are aggregated in index order, which makes the
-output identical whether they ran serially or across a process pool.
+depend on scheduling.  Within a trial, observations are aligned and summed in
+fixed-size chunks, in observation order; trials are aggregated in index
+order.  Together these make the output identical whether trials ran serially
+or across a process pool.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError
-from .estimator import EfnEstimate, pearson_correlation, phase_error
+from .alignment import align_rows, chunks
+from .estimator import EfnEstimate, pearson_correlation
 from .signals import SignalFamilySpec, TemplateSignal, generate_template, wrap_phase
 from .theory import estimate_ck_profile, predict_magnitude, predict_phase_mse
 
@@ -61,8 +64,8 @@ class ExperimentConfig:
             raise InvalidArgumentError(f"M must be >= 1, got {self.M}")
         if self.trials < 1:
             raise InvalidArgumentError(f"trials must be >= 1, got {self.trials}")
-        if self.sigma <= 0:
-            raise InvalidArgumentError(f"sigma must be positive, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise InvalidArgumentError(f"sigma must be positive and finite, got {self.sigma}")
         if self.master_seed < 0:
             raise InvalidArgumentError("master_seed must be a nonnegative integer")
         freqs = tuple(int(k) for k in self.frequencies)
@@ -195,10 +198,13 @@ def observation_rng(master_seed: int, trial_index: int, observation_index: int) 
     return np.random.default_rng(ss)
 
 
-def _noise_block(master_seed: int, trial_index: int, M: int, d: int, sigma: float) -> np.ndarray:
+def _noise_block(
+    master_seed: int, trial_index: int, M: int, d: int, sigma: float, first: int = 0
+) -> np.ndarray:
+    """Observations first .. first+M-1 of a trial, one row each."""
     block = np.empty((M, d))
     for i in range(M):
-        block[i] = observation_rng(master_seed, trial_index, i).standard_normal(d)
+        block[i] = observation_rng(master_seed, trial_index, first + i).standard_normal(d)
     if sigma != 1.0:
         block *= sigma
     return block
@@ -206,26 +212,32 @@ def _noise_block(master_seed: int, trial_index: int, M: int, d: int, sigma: floa
 
 def _template_of(config: ExperimentConfig) -> TemplateSignal:
     template = generate_template(config.template)
-    mags = template.spectrum.magnitudes
+    template.require_alignable()
     for k in config.frequencies:
-        if mags[k] <= template.floor * mags.max():
-            raise InvalidArgumentError(
-                f"frequencies: bin {k} is excluded for this template (magnitude at floor)"
-            )
+        template.require_bin(k)
     return template
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
-    """One independent estimate: draw M observations, align, average, measure."""
+    """One independent estimate: draw M observations, align, average, measure.
+
+    Observations are drawn and aligned one fixed-size chunk at a time.  The
+    running total is added into each chunk's first aligned row before the
+    chunk is summed, so the total is the row-order sum of all M aligned
+    observations, bit for bit, whatever the chunk size.
+    """
     template = _template_of(config)
     d = template.d
-    noise = _noise_block(config.master_seed, trial_index, config.M, d, config.sigma)
-    spec_x_u = np.fft.rfft(template.samples)
-    corr = np.fft.irfft(np.fft.rfft(noise, axis=1) * np.conj(spec_x_u)[None, :], d, axis=1)
-    shifts = np.argmax(corr, axis=1)
-    cols = (np.arange(d)[None, :] + shifts[:, None]) % d
-    aligned = noise[np.arange(config.M)[:, None], cols]
-    xhat = aligned.mean(axis=0)
+    total = None
+    for start, stop in chunks(config.M, d):
+        noise = _noise_block(config.master_seed, trial_index, stop - start, d, config.sigma, start)
+        shifts = align_rows(noise, template)[0]
+        cols = (np.arange(d)[None, :] + shifts[:, None]) % d
+        aligned = np.take_along_axis(noise, cols, axis=1)
+        if total is not None:
+            aligned[0] += total
+        total = aligned.sum(axis=0)
+    xhat = total / config.M
 
     estimate = EfnEstimate.from_samples(xhat, config.M)
     ks = np.asarray(config.frequencies, dtype=int)
@@ -267,12 +279,8 @@ def aggregate_trials(config: ExperimentConfig, results: Sequence[TrialResult]) -
         )
         pred1 = np.asarray([est.ck / config.M for est in profile])
         pred1_mag = np.asarray([est.mu_b for est in profile])
-        pred2 = np.asarray(
-            [predict_phase_mse(template, int(k), config.M, "thm2-high-d") for k in ks]
-        )
-        pred2_mag = np.asarray(
-            [predict_magnitude(template, int(k), "thm2-high-d") for k in ks]
-        )
+        pred2 = np.asarray([predict_phase_mse(template, int(k), config.M) for k in ks])
+        pred2_mag = np.asarray([predict_magnitude(template, int(k)) for k in ks])
     else:
         mse = mse_se = mag_mean = mag_se = np.empty(0)
         pred1 = pred2 = pred1_mag = pred2_mag = np.empty(0)
@@ -300,7 +308,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> AggregateStats
     The aggregate is identical for any worker count: trials are keyed by
     index, not by completion order.
     """
-    _template_of(config)  # validate frequencies before spawning workers
+    _template_of(config)  # validate the template and frequencies before any trial runs
     if workers <= 1:
         results = [run_trial(config, t) for t in range(config.trials)]
     else:
@@ -368,9 +376,3 @@ def ks_statistic(samples, cdf: str = "gumbel-standard") -> float:
     upper = np.max(i / x.size - ref)
     lower = np.max(ref - (i - 1) / x.size)
     return float(max(upper, lower))
-
-
-def gumbel_standard_ppf(u) -> np.ndarray:
-    """Inverse CDF of exp(-e^{-x}) (handy for self-tests)."""
-    u = np.asarray(u, dtype=float)
-    return -np.log(-np.log(u))

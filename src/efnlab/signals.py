@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidArgumentError, RejectedTemplateError
+from .errors import ExcludedBinError, InvalidArgumentError, RejectedTemplateError
 
 #: Relative floor under which a spectral magnitude counts as vanishing.
 NON_VANISHING_FLOOR = 1e-8
@@ -153,6 +153,17 @@ class TemplateSignal:
             raise RejectedTemplateError(
                 "template spectrum falls below the non-vanishing floor "
                 f"({self.floor:g} relative)"
+            )
+
+    def require_bin(self, k: int):
+        """Raise ExcludedBinError unless bin k's magnitude clears the floor
+        (in particular a zeroed DC bin is excluded from phase statistics)."""
+        if not (0 <= k <= self.d - 1):
+            raise InvalidArgumentError(f"frequency index {k} out of range for d={self.d}")
+        mags = self.spectrum.magnitudes
+        if mags[k] <= self.floor * mags.max():
+            raise ExcludedBinError(
+                f"bin {k} excluded: template magnitude {mags[k]:.3e} is at or below the floor"
             )
 
     def __repr__(self):

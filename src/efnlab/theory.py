@@ -18,10 +18,12 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
+from .alignment import align_rows, chunks
 from .errors import InsufficientDataError, InvalidArgumentError
 from .signals import TemplateSignal
 
-REGIMES = ("thm1-fixed-d", "thm2-high-d")
+#: Fewest draws :func:`lemma1_check` accepts.
+LEMMA1_MIN_DRAWS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -205,29 +207,30 @@ def alignment_moments(
     """Run ``trials`` single-observation alignments and collect the per-k
     moments of the residual-phase sine/cosine terms.
 
-    The alignment uses the same transform-based correlation as the production
-    estimator; draws are batched for speed but the statistics are per
-    observation.
+    The alignment runs through the production kernel, in fixed-size chunks of
+    draws; ``N[k]`` is read from the kernel's rfft, as the conjugate of bin
+    d-k for k > d/2.  Each chunk's statistics are summed into the running
+    totals in draw order, so the result does not depend on the chunk size.
     """
     template.require_alignable()
+    if trials < 1:
+        raise InvalidArgumentError("alignment_moments needs at least 1 draw")
     d = template.d
     kset = np.arange(d) if ks is None else np.asarray(list(ks), dtype=int)
     if kset.size and (kset.min() < 0 or kset.max() > d - 1):
         raise InvalidArgumentError("requested frequency outside [0, d-1]")
-    spec_x_u = np.fft.rfft(template.samples)
+    upper = kset > d // 2
+    bins = np.where(upper, d - kset, kset)
     phi_x = template.spectrum.phases[kset]
     rng = np.random.default_rng(seed)
 
-    sums = {name: np.zeros(kset.size) for name in ("a", "a2", "a4", "b", "b2", "a2b")}
-    block = max(1, min(trials, (1 << 22) // d))
-    done = 0
+    total = None
     scale = 1.0 / math.sqrt(d)
-    while done < trials:
-        m = min(block, trials - done)
-        noise = sigma * rng.standard_normal((m, d))
-        corr = np.fft.irfft(np.fft.rfft(noise, axis=1) * np.conj(spec_x_u)[None, :], d, axis=1)
-        shifts = np.argmax(corr, axis=1)
-        spec_n = np.fft.fft(noise, axis=1)[:, kset] * scale
+    for start, stop in chunks(trials, d):
+        noise = sigma * rng.standard_normal((stop - start, d))
+        shifts, _, spec = align_rows(noise, template)
+        spec_n = spec[:, bins] * scale
+        spec_n = np.where(upper[None, :], np.conj(spec_n), spec_n)
         phi_e = (
             2.0 * np.pi * kset[None, :] * shifts[:, None] / d
             + np.angle(spec_n)
@@ -236,32 +239,30 @@ def alignment_moments(
         mag_n = np.abs(spec_n)
         a = mag_n * np.sin(phi_e)
         b = mag_n * np.cos(phi_e)
-        sums["a"] += a.sum(0)
-        sums["a2"] += (a**2).sum(0)
-        sums["a4"] += (a**4).sum(0)
-        sums["b"] += b.sum(0)
-        sums["b2"] += (b**2).sum(0)
-        sums["a2b"] += (a**2 * b).sum(0)
-        done += m
+        terms = np.stack([a, a**2, a**4, b, b**2, a**2 * b], axis=1)
+        if total is not None:
+            terms[0] += total
+        total = terms.sum(axis=0)
+    sum_a, sum_a2, sum_a4, sum_b, sum_b2, sum_a2b = total
 
     n = float(trials)
-    mu_a = sums["a"] / n
-    mu_b = sums["b"] / n
-    var_a = np.maximum(sums["a2"] / n - mu_a**2, 0.0)
-    var_b = np.maximum(sums["b2"] / n - mu_b**2, 0.0)
+    mu_a = sum_a / n
+    mu_b = sum_b / n
+    var_a = np.maximum(sum_a2 / n - mu_a**2, 0.0)
+    var_b = np.maximum(sum_b2 / n - mu_b**2, 0.0)
     return AlignmentMoments(
         ks=kset,
         mu_a=mu_a,
         mu_a_stderr=np.sqrt(var_a / n),
         mu_b=mu_b,
         mu_b_stderr=np.sqrt(var_b / n),
-        second_moment_a=sums["a2"] / n,
+        second_moment_a=sum_a2 / n,
         trials=trials,
-        _sum_a2=sums["a2"],
-        _sum_a4=sums["a4"],
-        _sum_b=sums["b"],
-        _sum_b2=sums["b2"],
-        _sum_a2b=sums["a2b"],
+        _sum_a2=sum_a2,
+        _sum_a4=sum_a4,
+        _sum_b=sum_b,
+        _sum_b2=sum_b2,
+        _sum_a2b=sum_a2b,
     )
 
 
@@ -302,26 +303,16 @@ def _ck_from_moments(m: AlignmentMoments, idx: int) -> CkEstimate:
     )
 
 
-def estimate_ck(
-    template: TemplateSignal, k: int, trials: int, seed, *, sigma: float = 1.0
-) -> CkEstimate:
-    """Estimate C_k with fresh noise draws through the real alignment path.
+def estimate_ck_profile(
+    template: TemplateSignal, trials: int, seed, *, sigma: float = 1.0,
+    ks: Optional[Sequence[int]] = None,
+) -> list[CkEstimate]:
+    """C_k estimates at several frequencies from one shared Monte-Carlo pass.
 
     The numerator is the plain second moment of the sine term: its mean is 0
     by the sign-flip symmetry of the argmax, so the second moment equals the
     variance the limit theorem wants.
     """
-    if trials < 1000:
-        raise InvalidArgumentError("estimate_ck needs at least 1000 trials")
-    moments = alignment_moments(template, trials, seed, sigma=sigma, ks=[k])
-    return _ck_from_moments(moments, 0)
-
-
-def estimate_ck_profile(
-    template: TemplateSignal, trials: int, seed, *, sigma: float = 1.0,
-    ks: Optional[Sequence[int]] = None,
-) -> list[CkEstimate]:
-    """C_k estimates at several frequencies from one shared Monte-Carlo pass."""
     if trials < 1000:
         raise InvalidArgumentError("estimate_ck_profile needs at least 1000 trials")
     moments = alignment_moments(template, trials, seed, sigma=sigma, ks=ks)
@@ -329,112 +320,36 @@ def estimate_ck_profile(
 
 
 # ---------------------------------------------------------------------------
-# Closed-form / Monte-Carlo predictions
+# Closed-form high-dimensional predictions
 # ---------------------------------------------------------------------------
 
-def _check_regime(regime: str):
-    if regime not in REGIMES:
-        raise InvalidArgumentError(f"unknown regime {regime!r}; choose from {REGIMES}")
+def predict_phase_mse(template: TemplateSignal, k: int, M: int) -> float:
+    """Predicted phase MSE at bin k for M observations: 1 / (4 |X[k]|^2 M ln d).
 
-
-def predict_phase_mse(
-    template: TemplateSignal,
-    k: int,
-    M: int,
-    regime: str,
-    *,
-    ck: Optional[float] = None,
-    ck_trials: int = 4000,
-    seed=0,
-) -> float:
-    """Predicted phase MSE at bin k for M observations.
-
-    thm1-fixed-d -> C_k / M with C_k estimated by Monte-Carlo (or passed in);
-    thm2-high-d  -> 1 / (4 |X[k]|^2 M ln d).
-
-    The thm2 form is the d -> infinity limit: it uses a_d^2 = 2 ln d for the
-    squared expected maximum of the correlation sequence.  At finite d with a
-    white correlation sequence (flat template) that maximum has mean m_d < a_d,
-    and the true rate sits a factor kappa_d = (a_d / m_d)^2 above this form
-    (1.29 at d = 2048, 1.17 at d = 2^20).
+    This is the d -> infinity limit: it uses a_d^2 = 2 ln d for the squared
+    expected maximum of the correlation sequence.  At finite d with a white
+    correlation sequence (flat template) that maximum has mean m_d < a_d, and
+    the true rate sits a factor kappa_d = (a_d / m_d)^2 above this form (1.29
+    at d = 2048, 1.17 at d = 2^20).  The fixed-d rate is C_k / M, with C_k
+    from :func:`estimate_ck_profile`.
     """
-    _check_regime(regime)
     if M < 1:
         raise InvalidArgumentError("M must be >= 1")
-    if regime == "thm2-high-d":
-        mags = template.spectrum.magnitudes
-        if mags[k] <= template.floor * mags.max():
-            raise InvalidArgumentError(
-                f"bin {k}: template magnitude below floor; thm2 prediction undefined"
-            )
-        return 1.0 / (4.0 * mags[k] ** 2 * M * math.log(template.d))
-    if ck is None:
-        ck = estimate_ck(template, k, ck_trials, seed).ck
-    return ck / M
+    template.require_bin(k)
+    return 1.0 / (4.0 * template.spectrum.magnitudes[k] ** 2 * M * math.log(template.d))
 
 
-def predict_magnitude(
-    template: TemplateSignal,
-    k: int,
-    regime: str,
-    *,
-    mu_b: Optional[float] = None,
-    trials: int = 20000,
-    seed=0,
-    sigma: float = 1.0,
-) -> float:
-    """Predicted estimator magnitude at bin k.
+def predict_magnitude(template: TemplateSignal, k: int) -> float:
+    """Predicted estimator magnitude at bin k: sqrt(2 ln d) * |X[k]|.
 
-    thm1-fixed-d -> Monte-Carlo E[|N[k]| cos(phi_e[k])];
-    thm2-high-d  -> sqrt(2 ln d) * |X[k]|.
-
-    The thm2 form is the d -> infinity limit.  At finite d with a white
-    correlation sequence (flat template) the expected magnitude is m_d |X[k]|,
-    where m_d is the expected maximum of the correlation sequence, so this
-    form is off by the factor m_d / a_d (0.88 at d = 2048).
+    This is the d -> infinity limit.  At finite d with a white correlation
+    sequence (flat template) the expected magnitude is m_d |X[k]|, where m_d
+    is the expected maximum of the correlation sequence, so this form is off
+    by the factor m_d / a_d (0.88 at d = 2048).  The fixed-d magnitude is the
+    Monte-Carlo E[|N[k]| cos(phi_e[k])], ``mu_b`` of
+    :func:`estimate_ck_profile`.
     """
-    _check_regime(regime)
-    if regime == "thm2-high-d":
-        return math.sqrt(2.0 * math.log(template.d)) * float(template.spectrum.magnitudes[k])
-    if mu_b is None:
-        mu_b = float(alignment_moments(template, trials, seed, sigma=sigma, ks=[k]).mu_b[0])
-    return float(mu_b)
-
-
-def prediction_rows(
-    template: TemplateSignal,
-    M: int,
-    ks: Sequence[int],
-    *,
-    ck_trials: int = 4000,
-    seed=0,
-    sigma: float = 1.0,
-) -> list[dict]:
-    """Prediction table: one row per (k, regime) with the predicted phase MSE
-    and magnitude.  CSV-ready; the Monte-Carlo pass is shared across rows."""
-    profile = estimate_ck_profile(template, ck_trials, seed, sigma=sigma, ks=ks)
-    mags = template.spectrum.magnitudes
-    rows = []
-    for est, k in zip(profile, ks):
-        rows.append(
-            {
-                "k": int(k),
-                "template_magnitude": float(mags[k]),
-                "predicted_mse": est.ck / M,
-                "predicted_magnitude": est.mu_b,
-                "regime": "thm1-fixed-d",
-            }
-        )
-        rows.append(
-            {
-                "k": int(k),
-                "template_magnitude": float(mags[k]),
-                "predicted_mse": predict_phase_mse(template, int(k), M, "thm2-high-d"),
-                "predicted_magnitude": predict_magnitude(template, int(k), "thm2-high-d"),
-                "regime": "thm2-high-d",
-            }
-        )
-    return rows
+    return math.sqrt(2.0 * math.log(template.d)) * float(template.spectrum.magnitudes[k])
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +391,8 @@ def lemma1_check(
     Pairing the draws cancels most of the sampling noise in the frequency
     differences; standard errors come from the per-draw paired statistics.
     """
-    if trials < 100_000:
-        raise InsufficientDataError("lemma1_check needs at least 1e5 draws")
+    if trials < LEMMA1_MIN_DRAWS:
+        raise InsufficientDataError(f"lemma1_check needs at least {LEMMA1_MIN_DRAWS} draws")
     d = template.d
     cg = build_conditional_gaussian(template, k, 1.0, 0.0)
     r = np.arange(d)

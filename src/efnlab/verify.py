@@ -25,6 +25,7 @@ from .signals import (
     wrap_phase,
 )
 from .theory import (
+    LEMMA1_MIN_DRAWS,
     alignment_moments,
     build_conditional_gaussian,
     gumbel_constants,
@@ -233,13 +234,18 @@ def _accepted(fn, overrides: dict) -> dict:
 
 
 def run_suite(name: str, **overrides) -> list[CheckRow]:
-    """Run one named suite (or 'all'); unknown override keys are ignored per suite."""
-    if name == "all":
-        rows = []
-        for fn in SUITES.values():
-            rows.extend(fn(**_accepted(fn, overrides)))
-        return rows
-    if name not in SUITES:
+    """Run one named suite (or 'all'); unknown override keys are ignored per suite.
+
+    Overrides are checked before any suite runs.
+    """
+    if name != "all" and name not in SUITES:
         raise InvalidArgumentError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    fn = SUITES[name]
-    return fn(**_accepted(fn, overrides))
+    names = list(SUITES) if name == "all" else [name]
+    draws = overrides.get("draws")
+    if "lemma1" in names and draws is not None and draws < LEMMA1_MIN_DRAWS:
+        raise InvalidArgumentError(f"lemma1 needs --draws >= {LEMMA1_MIN_DRAWS}, got {draws}")
+    rows = []
+    for suite in names:
+        fn = SUITES[suite]
+        rows.extend(fn(**_accepted(fn, overrides)))
+    return rows

@@ -95,11 +95,6 @@ class TestEstimateShift:
         with pytest.raises(RejectedTemplateError):
             E.estimate_shift(np.zeros(8), t)
 
-    def test_keep_sequence(self):
-        t = plaw(16)
-        res = E.estimate_shift(np.ones(16), t, keep_sequence=True)
-        assert res.correlation is not None and res.correlation.size == 16
-
 
 class TestFourierRoute:
     def test_argmax_agreement_random_pairs(self):

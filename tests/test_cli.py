@@ -83,6 +83,27 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(b)]) == 0
         assert (a / "stats.csv").read_bytes() == (b / "stats.csv").read_bytes()
 
+    @pytest.mark.parametrize("frequencies", [[], [2]])
+    def test_non_alignable_template_is_usage_error(self, tmp_path, capsys, frequencies):
+        samples = [float(i in (0, 8)) for i in range(16)]
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            template={"family": "explicit-samples", "d": 16, "samples": samples},
+            frequencies=frequencies,
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "non-vanishing floor" in capsys.readouterr().err
+        assert not (out / "stats.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys, threads):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--threads", threads]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not (out / "stats.csv").exists()
+
     def test_sweep_config(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", sweep={"axis": "M", "values": [10, 20]})
         out = tmp_path / "o"
@@ -120,6 +141,13 @@ class TestVerify:
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["verify", "bogus"]) == 2
+
+    @pytest.mark.parametrize("suite", ["lemma1", "all"])
+    def test_too_few_lemma1_draws_is_usage_error(self, capsys, suite):
+        assert main(["verify", suite, "--draws", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert "100000" in captured.err
+        assert captured.out == ""  # rejected before any suite ran
 
     def test_lemma1_suite_quick(self, capsys):
         assert main(["verify", "lemma1", "--draws", "100000"]) == 0

@@ -1,4 +1,4 @@
-"""Accumulator exactness, phase metrics, Pearson correlation."""
+"""The running aligned sum, phase metrics, Pearson correlation."""
 
 import math
 
@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import efnlab as E
+from efnlab import alignment, experiment
 from efnlab.errors import (
     ExcludedBinError,
     InsufficientDataError,
     InvalidArgumentError,
+    LengthMismatchError,
     UndefinedCorrelationError,
 )
 
@@ -24,72 +26,77 @@ def plaw(d, beta=1.0, seed=1, zero_dc=True):
     )
 
 
+def trial_config(template_spec, M, **kw):
+    d = template_spec.d
+    return E.ExperimentConfig(
+        template=template_spec, M=M, trials=1, frequencies=tuple(range(d)), **kw
+    )
+
+
+class _RepeatedRow:
+    """Stand-in observation stream that always draws the same row."""
+
+    def __init__(self, row):
+        self.row = np.asarray(row, dtype=float)
+
+    def standard_normal(self, d):
+        return self.row.copy()
+
+
 class TestAccumulator:
-    def test_single_observation_unwind(self):
-        t = delta(4)
-        acc = E.EfnAccumulator(t)
-        acc.accumulate(E.NoiseSample(np.array([0.5, -1.0, 2.0, 0.3]), 1.0))
-        est = acc.finalize()
-        np.testing.assert_array_equal(est.samples, [2.0, 0.3, 0.5, -1.0])
-        assert est.M == 1
+    """The running sum of aligned observations that run_trial folds chunk by chunk."""
 
-    def test_duplicate_averaging_idempotent(self):
-        t = delta(4)
-        n = E.NoiseSample(np.array([0.5, -1.0, 2.0, 0.3]), 1.0)
-        one = E.EfnAccumulator(t).accumulate(n).finalize()
-        two = E.EfnAccumulator(t).accumulate(n).accumulate(n).finalize()
-        np.testing.assert_array_equal(one.samples, two.samples)
+    def test_single_observation_unwind(self, monkeypatch):
+        row = [0.5, 2.0, -1.0, 0.3]  # peak at lag 1
+        monkeypatch.setattr(experiment, "observation_rng", lambda *key: _RepeatedRow(row))
+        res = E.run_trial(trial_config(E.SignalFamilySpec(family="delta", d=4), M=1), 0)
+        unwound = E.EfnEstimate.from_samples([2.0, -1.0, 0.3, 0.5], 1)
+        np.testing.assert_array_equal(res.magnitudes, unwound.spectrum.magnitudes)
+        np.testing.assert_array_equal(res.phase_errors, unwound.spectrum.phases)
 
-    def test_merge_equals_sequential_exactly(self):
-        t = plaw(16, beta=0.5, zero_dc=False)
-        noises = [E.draw_noise(16, 1.0, seed) for seed in range(1000)]
-        full = E.EfnAccumulator(t)
-        for n in noises:
-            full.accumulate(n)
-        first, second = E.EfnAccumulator(t), E.EfnAccumulator(t)
-        for n in noises[:500]:
-            first.accumulate(n)
-        for n in noises[500:]:
-            second.accumulate(n)
-        merged = first.merge(second)
-        np.testing.assert_array_equal(merged.running_sum, full.running_sum)
-        np.testing.assert_array_equal(merged.finalize().samples, full.finalize().samples)
-        # merge order cannot matter
-        np.testing.assert_array_equal(
-            second.merge(first).finalize().samples, merged.finalize().samples
-        )
+    def test_duplicate_averaging_idempotent(self, monkeypatch):
+        row = np.random.default_rng(4).standard_normal(16)
+        monkeypatch.setattr(experiment, "observation_rng", lambda *key: _RepeatedRow(row))
+        spec = E.SignalFamilySpec(family="power-law-psd", d=16, beta=0.5, phase_seed=1, zero_dc=False)
+        one = E.run_trial(trial_config(spec, M=1), 0)
+        two = E.run_trial(trial_config(spec, M=2), 0)
+        np.testing.assert_array_equal(one.magnitudes, two.magnitudes)
+        np.testing.assert_array_equal(one.phase_errors, two.phase_errors)
+        assert one.pearson == two.pearson
 
-    def test_merge_requires_same_template(self):
-        a = E.EfnAccumulator(delta(8))
-        b = E.EfnAccumulator(plaw(8))
-        with pytest.raises(InvalidArgumentError):
-            a.merge(b)
-
-    def test_finalize_needs_data(self):
-        with pytest.raises(InsufficientDataError):
-            E.EfnAccumulator(delta(8)).finalize()
+    def test_merge_equals_sequential_exactly(self, monkeypatch):
+        # folding each chunk into the running total equals one row-order sum
+        spec = E.SignalFamilySpec(family="power-law-psd", d=64, beta=1.0, phase_seed=1)
+        cfg = E.ExperimentConfig(template=spec, M=50, trials=1, master_seed=3, frequencies=(1, 3, 5))
+        whole = E.run_trial(cfg, 0)
+        for rows_per_chunk in (1, 7):
+            monkeypatch.setattr(alignment, "BUDGET", rows_per_chunk * 64)
+            chunked = E.run_trial(cfg, 0)
+            np.testing.assert_array_equal(chunked.phase_errors, whole.phase_errors)
+            np.testing.assert_array_equal(chunked.magnitudes, whole.magnitudes)
+            assert chunked.pearson == whole.pearson
 
     def test_length_mismatch(self):
-        with pytest.raises(InvalidArgumentError):
-            E.EfnAccumulator(delta(8)).accumulate(E.draw_noise(16, 1.0, 0))
+        with pytest.raises(LengthMismatchError):
+            alignment.align_rows(np.zeros((3, 16)), delta(8))
 
     def test_fourier_consistency_with_phasor_average(self):
         # averaging aligned signals in real space == averaging spectral phasors
-        t = plaw(64, beta=1.0, zero_dc=False)
-        noises = [E.draw_noise(64, 1.0, s) for s in range(100)]
-        acc = E.EfnAccumulator(t)
+        spec = E.SignalFamilySpec(family="power-law-psd", d=64, beta=1.0, phase_seed=1, zero_dc=False)
+        cfg = trial_config(spec, M=100, master_seed=5)
+        t = E.generate_template(spec)
         phasors = np.zeros(64, dtype=complex)
         k = np.arange(64)
-        for n in noises:
-            acc.accumulate(n)
+        for o in range(cfg.M):
+            n = E.NoiseSample(E.observation_rng(5, 0, o).standard_normal(64), 1.0)
             r = E.estimate_shift(n, t).shift
             phasors += (
                 n.spectrum.magnitudes
                 * np.exp(1j * (n.spectrum.phases + 2.0 * np.pi * k * r / 64))
             )
-        phasors /= len(noises)
-        est = acc.finalize()
-        direct = est.spectrum.to_complex()
+        phasors /= cfg.M
+        res = E.run_trial(cfg, 0)
+        direct = res.magnitudes * np.exp(1j * (res.phase_errors + t.spectrum.phases))
         assert np.abs(direct - phasors).max() <= 1e-9
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import efnlab as E
-from efnlab.errors import InsufficientDataError, InvalidArgumentError
+from efnlab import alignment, experiment
+from efnlab.errors import InsufficientDataError, InvalidArgumentError, RejectedTemplateError
 from efnlab.experiment import _noise_block
 
 
@@ -71,6 +72,30 @@ class TestRunTrial:
             E.pearson_correlation(manual.samples, template.samples), abs=1e-12
         )
 
+    def test_matches_per_observation_oracle(self, monkeypatch):
+        # 7-row chunks against one direct-sum alignment per observation
+        cfg = small_config()
+        monkeypatch.setattr(alignment, "BUDGET", 7 * 64)
+        res = E.run_trial(cfg, 2)
+        template = E.generate_template(cfg.template)
+        rows = []
+        for o in range(cfg.M):
+            n = E.observation_rng(cfg.master_seed, 2, o).standard_normal(64)
+            shift = int(np.argmax(E.correlation_oracle(n, template)))
+            rows.append(E.circular_shift(n, -shift))
+        ref = E.EfnEstimate.from_samples(np.mean(rows, axis=0), cfg.M)
+        ks = np.asarray(cfg.frequencies)
+        np.testing.assert_allclose(res.magnitudes, ref.spectrum.magnitudes[ks], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            res.phase_errors,
+            E.wrap_phase(ref.spectrum.phases[ks] - template.spectrum.phases[ks]),
+            rtol=0,
+            atol=1e-12,
+        )
+        assert res.pearson == pytest.approx(
+            E.pearson_correlation(ref.samples, template.samples), abs=1e-12
+        )
+
 
 class TestAggregation:
     def test_order_independent_and_parallel_identical(self):
@@ -130,6 +155,24 @@ class TestConfigValidation:
             small_config(master_seed=-1)
         with pytest.raises(InvalidArgumentError):
             small_config(frequencies=(64,))
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(InvalidArgumentError, match="sigma"):
+            small_config(sigma=sigma)
+
+    @pytest.mark.parametrize("frequencies", [(), (2,)])
+    def test_non_alignable_template_rejected_before_trials(self, frequencies, monkeypatch):
+        # ones at indices 0 and 8 of 16: every odd bin vanishes
+        spec = E.SignalFamilySpec(
+            family="explicit-samples", d=16, samples=tuple(float(i in (0, 8)) for i in range(16))
+        )
+        cfg = small_config(template=spec, M=20, trials=3, frequencies=frequencies)
+        ran = []
+        monkeypatch.setattr(experiment, "run_trial", lambda config, t: ran.append(t))
+        with pytest.raises(RejectedTemplateError):
+            E.run_experiment(cfg)
+        assert ran == []
 
     def test_excluded_frequency_reported(self):
         cfg = small_config(frequencies=(0,))  # DC is zeroed for this family
@@ -191,7 +234,7 @@ class TestSlopeFit:
 class TestKsStatistic:
     def test_self_consistency_via_inverse_cdf(self):
         rng = np.random.default_rng(12)
-        samples = E.gumbel_standard_ppf(rng.uniform(size=10_000))
+        samples = -np.log(-np.log(rng.uniform(size=10_000)))  # standard Gumbel inverse CDF
         assert E.ks_statistic(samples) <= 0.02
 
     def test_constant_samples_are_far(self):

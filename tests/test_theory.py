@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import efnlab as E
+from efnlab import alignment, experiment
 from efnlab.errors import InsufficientDataError, InvalidArgumentError
 from efnlab.theory import ConditionalGaussian
 
@@ -179,27 +180,31 @@ class TestMStar:
         assert abs(fd - E.softmax_expectation(f, mu)) <= 1e-6
 
 
+def ck_at(template, k, trials, seed):
+    return E.estimate_ck_profile(template, trials, seed, ks=[k])[0]
+
+
 class TestCkEstimate:
     def test_symmetry_and_positivity(self):
         t = delta(8)
-        est = E.estimate_ck(t, 1, 20_000, 3)
+        est = ck_at(t, 1, 20_000, 3)
         assert abs(est.mu_a) <= 3.0 * est.mu_a_stderr
         assert est.mu_b >= 2.3263 * est.mu_b_stderr
 
     def test_split_sample_agreement(self):
         t = delta(8)
-        a = E.estimate_ck(t, 1, 30_000, 100)
-        b = E.estimate_ck(t, 1, 30_000, 200)
+        a = ck_at(t, 1, 30_000, 100)
+        b = ck_at(t, 1, 30_000, 200)
         combined = math.hypot(a.stderr, b.stderr)
         assert abs(a.ck - b.ck) <= 3.0 * combined
 
     def test_trials_floor(self):
         with pytest.raises(InvalidArgumentError):
-            E.estimate_ck(delta(8), 1, 999, 0)
+            E.estimate_ck_profile(delta(8), 999, 0, ks=[1])
 
     def test_profile_matches_single(self):
         t = delta(8)
-        single = E.estimate_ck(t, 2, 5000, 42)
+        single = ck_at(t, 2, 5000, 42)
         prof = E.estimate_ck_profile(t, 5000, 42, ks=[1, 2, 3])
         # same draws either way; only the reduction shapes differ (ulp noise)
         assert prof[1].ck == pytest.approx(single.ck, rel=1e-12)
@@ -208,60 +213,60 @@ class TestCkEstimate:
 class TestPredictions:
     def test_thm2_phase_mse_frozen_value(self):
         t = delta(1024)
-        pred = E.predict_phase_mse(t, 5, 1000, "thm2-high-d")
+        pred = E.predict_phase_mse(t, 5, 1000)
         assert pred == pytest.approx(0.036932993046757463, abs=1e-12)
 
     def test_doubling_m_halves_both_regimes(self):
         t = delta(64)
-        p1 = E.predict_phase_mse(t, 3, 500, "thm2-high-d")
-        p2 = E.predict_phase_mse(t, 3, 1000, "thm2-high-d")
+        p1 = E.predict_phase_mse(t, 3, 500)
+        p2 = E.predict_phase_mse(t, 3, 1000)
         assert p2 == p1 / 2.0
-        q1 = E.predict_phase_mse(t, 3, 500, "thm1-fixed-d", ck=1.25)
-        q2 = E.predict_phase_mse(t, 3, 1000, "thm1-fixed-d", ck=1.25)
+        # the fixed-d prediction is C_k / M from a profile that does not depend on M
+        spec = E.SignalFamilySpec(family="delta", d=64)
+        fake = [E.TrialResult(i, np.zeros(1), np.ones(1), 0.5) for i in range(2)]
+        q1, q2 = (
+            E.aggregate_trials(
+                E.ExperimentConfig(template=spec, M=M, trials=2, frequencies=(3,), ck_trials=1000),
+                fake,
+            ).predicted_mse_thm1[0]
+            for M in (500, 1000)
+        )
         assert q2 == q1 / 2.0
 
     def test_prediction_slope_is_exactly_minus_one(self):
         t = delta(256)
-        pts = [(M, E.predict_phase_mse(t, 3, M, "thm2-high-d")) for M in (200, 500, 1500, 5000)]
+        pts = [(M, E.predict_phase_mse(t, 3, M)) for M in (200, 500, 1500, 5000)]
         fit = E.fit_loglog_slope(pts)
         assert fit.slope == pytest.approx(-1.0, abs=1e-12)
         assert fit.r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_thm2_magnitude_frozen_value(self):
         t = delta(1024)
-        pred = E.predict_magnitude(t, 7, "thm2-high-d")
+        pred = E.predict_magnitude(t, 7)
         assert pred == pytest.approx(0.11635304409559482, abs=1e-12)
 
     def test_thm2_magnitude_linear_in_template_magnitude(self):
         t = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=64, beta=1.0))
         m = t.spectrum.magnitudes
-        r1 = E.predict_magnitude(t, 1, "thm2-high-d") / m[1]
-        r2 = E.predict_magnitude(t, 9, "thm2-high-d") / m[9]
+        r1 = E.predict_magnitude(t, 1) / m[1]
+        r2 = E.predict_magnitude(t, 9) / m[9]
         assert r1 == pytest.approx(r2, rel=1e-12)
 
     def test_thm1_magnitude_is_mu_b(self):
-        t = delta(8)
-        est = E.estimate_ck(t, 1, 5000, 5)
-        pred = E.predict_magnitude(t, 1, "thm1-fixed-d", mu_b=est.mu_b)
-        assert pred == est.mu_b
+        # the fixed-d magnitude prediction is the profile's mu_b at each bin
+        spec = E.SignalFamilySpec(family="delta", d=8)
+        cfg = E.ExperimentConfig(
+            template=spec, M=10, trials=2, master_seed=5, frequencies=(1, 2), ck_trials=5000
+        )
+        stats = E.aggregate_trials(cfg, [E.run_trial(cfg, t) for t in range(2)])
+        ck_seed = np.random.SeedSequence(5, spawn_key=(experiment._CK_SEED_LANE,))
+        profile = E.estimate_ck_profile(delta(8), 5000, ck_seed, ks=[1, 2])
+        assert stats.predicted_magnitude_thm1.tolist() == [est.mu_b for est in profile]
 
     def test_thm2_rejects_floor_bins(self):
         t = flat(16)  # zero DC
         with pytest.raises(InvalidArgumentError):
-            E.predict_phase_mse(t, 0, 100, "thm2-high-d")
-
-    def test_unknown_regime(self):
-        with pytest.raises(InvalidArgumentError):
-            E.predict_phase_mse(delta(8), 1, 10, "thm3")
-
-    def test_prediction_rows_table(self):
-        t = delta(64)
-        rows = E.prediction_rows(t, 500, [1, 5], ck_trials=1000, seed=2)
-        assert len(rows) == 4
-        assert {r["regime"] for r in rows} == {"thm1-fixed-d", "thm2-high-d"}
-        thm2 = [r for r in rows if r["regime"] == "thm2-high-d" and r["k"] == 5][0]
-        assert thm2["predicted_mse"] == E.predict_phase_mse(t, 5, 500, "thm2-high-d")
-        assert all(r["predicted_mse"] > 0 for r in rows)
+            E.predict_phase_mse(t, 0, 100)
 
 
 class TestLemma1:
@@ -301,3 +306,25 @@ class TestAlignmentMoments:
         a = E.alignment_moments(t, 2000, 7, ks=[1, 2])
         b = E.alignment_moments(t, 2000, 7, ks=[1, 2])
         np.testing.assert_array_equal(a.mu_b, b.mu_b)
+
+    def test_chunk_size_invariant(self, monkeypatch):
+        t = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=64, beta=1.0, phase_seed=2))
+        ks = [0, 1, 5, 31, 32, 33, 40, 63]  # both sides of d/2, and d/2 itself
+        whole = E.alignment_moments(t, 2000, 11, ks=ks)
+        monkeypatch.setattr(alignment, "BUDGET", 7 * 64)
+        chunked = E.alignment_moments(t, 2000, 11, ks=ks)
+        for name in ("mu_a", "mu_b", "second_moment_a", "_sum_a4", "_sum_b2", "_sum_a2b"):
+            np.testing.assert_allclose(getattr(chunked, name), getattr(whole, name), rtol=1e-12)
+
+    def test_matches_full_fft_reference(self):
+        # N[k] for k > d/2 comes from the conjugate of rfft bin d-k
+        d, n, seed = 16, 1000, 4
+        t = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=d, beta=0.5, phase_seed=3))
+        ks = np.arange(d)
+        m = E.alignment_moments(t, n, seed, ks=ks)
+        noise = np.random.default_rng(seed).standard_normal((n, d))
+        shifts = np.array([np.argmax(E.correlation_oracle(row, t)) for row in noise])
+        spec = np.fft.fft(noise, axis=1) / math.sqrt(d)
+        phi_e = 2.0 * np.pi * ks[None, :] * shifts[:, None] / d + np.angle(spec) - t.spectrum.phases
+        np.testing.assert_allclose(m.mu_a, (np.abs(spec) * np.sin(phi_e)).mean(0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m.mu_b, (np.abs(spec) * np.cos(phi_e)).mean(0), rtol=0, atol=1e-12)
