@@ -23,10 +23,11 @@ import numpy as np
 from .errors import LengthMismatchError
 from .signals import NoiseSample, TemplateSignal, circular_shift
 
-#: Doubles per row chunk: loops over many observations align
-#: ``max(1, BUDGET // d)`` rows at a time, so their peak memory is O(BUDGET)
-#: whatever the observation count.  The loops sum chunks in row order, so
-#: their results do not depend on it.
+#: Doubles per row chunk: every Monte-Carlo loop in the package (trials, the
+#: ``C_k`` moments and the verify samplers) draws ``max(1, BUDGET // d)`` rows
+#: at a time, so its peak memory is O(BUDGET) whatever the draw count.  The
+#: loops fold chunks in row order or into integer counts, so their results do
+#: not depend on it.
 BUDGET = 1 << 19
 
 

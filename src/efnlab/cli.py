@@ -67,17 +67,19 @@ def _write_manifest(out_dir: Path, command: str, config_doc: dict, outputs: list
 
 
 def _resolve_workers(args) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise InvalidArgumentError(f"--threads must be >= 1, got {args.threads}")
-        return args.threads
-    env = os.environ.get("EFN_THREADS", "")
-    if env.strip():
+    workers, source = args.threads, "--threads"
+    if workers is None:
+        env = os.environ.get("EFN_THREADS", "").strip()
+        if not env:
+            return 1
+        source = "EFN_THREADS"
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError as e:
             raise InvalidArgumentError(f"EFN_THREADS: {e}") from e
-    return 1
+    if workers < 1:
+        raise InvalidArgumentError(f"{source} must be >= 1, got {workers}")
+    return workers
 
 
 def _load_config(path: str, args) -> ExperimentConfig:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -32,6 +33,13 @@ _CK_SEED_LANE = 0x5EED
 SWEEP_AXES = ("M", "d", "beta", "pad-ratio")
 
 
+def _integral(field: str, value) -> int:
+    """``value`` as an int; anything but a whole number is a config error."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise InvalidArgumentError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     axis: str
@@ -43,6 +51,9 @@ class SweepSpec:
         vals = tuple(self.values)
         if len(vals) < 1 or any(b <= a for a, b in zip(vals, vals[1:])):
             raise InvalidArgumentError("sweep.values must be non-empty and strictly increasing")
+        if self.axis in ("M", "d"):
+            for v in vals:
+                _integral(f"sweep.values ({self.axis})", v)
         object.__setattr__(self, "values", vals)
 
 
@@ -111,13 +122,13 @@ class ExperimentConfig:
             raise InvalidArgumentError(f"unknown config fields: {sorted(unknown)}")
         return cls(
             template=template,
-            M=int(doc.get("M", 1)),
-            trials=int(doc.get("trials", 1)),
+            M=_integral("M", doc.get("M", 1)),
+            trials=_integral("trials", doc.get("trials", 1)),
             sigma=float(doc.get("sigma", 1.0)),
-            master_seed=int(doc.get("master_seed", 0)),
+            master_seed=_integral("master_seed", doc.get("master_seed", 0)),
             frequencies=tuple(doc.get("frequencies", ())),
             sweep=sweep,
-            ck_trials=int(doc.get("ck_trials", 4000)),
+            ck_trials=_integral("ck_trials", doc.get("ck_trials", 4000)),
         )
 
 
@@ -364,10 +375,8 @@ def fit_loglog_slope(points: Sequence[tuple]) -> SlopeFit:
     return SlopeFit(float(slope), float(intercept), r2)
 
 
-def ks_statistic(samples, cdf: str = "gumbel-standard") -> float:
-    """Sup distance between the empirical CDF and a reference distribution."""
-    if cdf != "gumbel-standard":
-        raise InvalidArgumentError(f"unknown cdf tag {cdf!r}")
+def ks_statistic(samples) -> float:
+    """Sup distance between the empirical CDF and the standard Gumbel CDF."""
     x = np.sort(np.asarray(samples, dtype=float))
     if x.size < 100:
         raise InsufficientDataError("ks_statistic needs at least 100 samples")

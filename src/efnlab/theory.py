@@ -94,24 +94,22 @@ def build_conditional_gaussian(
     )
 
 
-def sample_cyclostationary(cg: ConditionalGaussian, rng, size: Optional[int] = None) -> np.ndarray:
-    """Draw from the conditional law by spectral synthesis.
+def sample_cyclostationary(cg: ConditionalGaussian, rng, size: int) -> np.ndarray:
+    """Draw ``size`` rows from the conditional law by spectral synthesis.
 
-    Returns a (d,) vector, or (size, d) when ``size`` is given.  Each draw is
+    Returns a (size, d) array.  Each row is
     mean + sum_l sqrt(lambda_l) (A_l cos(2*pi*l*r/d) + B_l sin(2*pi*l*r/d))
     with A, B i.i.d. standard normal, which has exactly the circulant target
-    covariance.
+    covariance.  Row i takes normals 2d*i .. 2d*(i+1)-1 of the stream (A, then
+    B), so consecutive calls give the rows of one larger call, bit for bit.
     """
     lam = np.asarray(cg.spectral_eigenvalues, dtype=float)
     if np.any(lam < 0):
         raise InvalidArgumentError("spectral eigenvalues must be nonnegative")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    n = 1 if size is None else int(size)
-    a = rng.standard_normal((n, cg.d))
-    b = rng.standard_normal((n, cg.d))
-    coeff = np.sqrt(lam)[None, :] * (a - 1j * b)
-    z = (cg.d * np.fft.ifft(coeff, axis=1)).real + cg.mean[None, :]
-    return z[0] if size is None else z
+    ab = rng.standard_normal((int(size), 2, cg.d))
+    coeff = np.sqrt(lam)[None, :] * (ab[:, 0] - 1j * ab[:, 1])
+    return (cg.d * np.fft.ifft(coeff, axis=1)).real + cg.mean[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -390,47 +388,34 @@ def lemma1_check(
 
     Pairing the draws cancels most of the sampling noise in the frequency
     differences; standard errors come from the per-draw paired statistics.
+    The draws are counted in one integer histogram ``joint[r1, r2]`` of the
+    two argmaxes, chunk by chunk, so the report does not depend on the chunk
+    size.
     """
     if trials < LEMMA1_MIN_DRAWS:
         raise InsufficientDataError(f"lemma1_check needs at least {LEMMA1_MIN_DRAWS} draws")
     d = template.d
-    cg = build_conditional_gaussian(template, k, 1.0, 0.0)
-    r = np.arange(d)
-    mu = np.cos(2.0 * np.pi * k * r / d + phi)
+    cg = build_conditional_gaussian(template, k, 0.0, 0.0)
+    mu = np.cos(2.0 * np.pi * k * np.arange(d) / d + phi)
     rng = np.random.default_rng(seed)
 
-    count1 = np.zeros(d)
-    count2 = np.zeros(d)
-    count_both = np.zeros(d)
-    conc_sum = 0.0
-    conc_sumsq = 0.0
-    lam = cg.spectral_eigenvalues
-    block = max(1, min(trials, (1 << 21) // d))
-    done = 0
-    while done < trials:
-        m = min(block, trials - done)
-        a = rng.standard_normal((m, d))
-        b = rng.standard_normal((m, d))
-        z = (d * np.fft.ifft(np.sqrt(lam)[None, :] * (a - 1j * b), axis=1)).real
+    joint = np.zeros(d * d, dtype=np.int64)
+    for start, stop in chunks(trials, d):
+        z = sample_cyclostationary(cg, rng, size=stop - start)
         r1 = np.argmax(z + mu[None, :], axis=1)
         r2 = np.argmax(z - mu[None, :], axis=1)
-        count1 += np.bincount(r1, minlength=d)
-        count2 += np.bincount(r2, minlength=d)
-        same = r1 == r2
-        if same.any():
-            count_both += np.bincount(r1[same], minlength=d)
-        term = np.cos(2.0 * np.pi * k * r1 / d + phi) - np.cos(2.0 * np.pi * k * r2 / d + phi)
-        conc_sum += term.sum()
-        conc_sumsq += (term**2).sum()
-        done += m
+        joint += np.bincount(r1 * d + r2, minlength=d * d)
+    joint = joint.reshape(d, d)
+    term = mu[:, None] - mu[None, :]  # per-draw concentration term at (r1, r2)
 
     n = float(trials)
+    count1, count2 = joint.sum(axis=1), joint.sum(axis=0)
     freq1 = count1 / n
     freq2 = count2 / n
     diff = freq1 - freq2
-    var_diff = np.maximum((count1 + count2 - 2.0 * count_both) / n - diff**2, 0.0)
-    mean_conc = conc_sum / n
-    var_conc = max(conc_sumsq / n - mean_conc**2, 0.0)
+    var_diff = np.maximum((count1 + count2 - 2 * np.diag(joint)) / n - diff**2, 0.0)
+    mean_conc = float((joint * term).sum()) / n
+    var_conc = max(float((joint * term**2).sum()) / n - mean_conc**2, 0.0)
     return Lemma1Report(
         k=k,
         phi=float(phi),
@@ -440,6 +425,6 @@ def lemma1_check(
         freq_neg=freq2,
         diff=diff,
         diff_stderr=np.sqrt(var_diff / n),
-        conc_sum=float(mean_conc),
+        conc_sum=mean_conc,
         conc_sum_stderr=float(math.sqrt(var_conc / n)),
     )

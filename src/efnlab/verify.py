@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import correlation_oracle, correlation_sequence, fourier_correlation_sequence
+from .alignment import chunks, correlation_oracle, correlation_sequence, fourier_correlation_sequence
 from .errors import InvalidArgumentError
 from .experiment import ks_statistic
 from .signals import (
@@ -145,13 +145,9 @@ def gumbel_suite(d: int = 4096, replicates: int = 10_000, seed=0) -> list[CheckR
     """Normalized maxima of i.i.d. Gaussians against the standard Gumbel law."""
     g = gumbel_constants(d)
     rng = np.random.default_rng(seed)
-    maxima = np.empty(replicates)
-    done = 0
-    block = max(1, (1 << 23) // d)
-    while done < replicates:
-        m = min(block, replicates - done)
-        maxima[done : done + m] = rng.standard_normal((m, d)).max(axis=1)
-        done += m
+    maxima = np.concatenate(
+        [rng.standard_normal((stop - start, d)).max(axis=1) for start, stop in chunks(replicates, d)]
+    )
     ks = ks_statistic(g.a_d * (maxima - g.b_d))
     return [CheckRow(f"gumbel KS (d={d}, n={replicates})", ks, 0.05, "<=")]
 
@@ -174,15 +170,11 @@ def prop3_case(d: int, draws: int, seed) -> tuple[float, float]:
     )
     soft = softmax_expectation(f, cg.mean)
     rng = np.random.default_rng(seed)
-    total = 0.0
-    done = 0
-    block = max(1, (1 << 23) // d)
-    while done < draws:
-        m = min(block, draws - done)
-        s = sample_cyclostationary(cg, rng, size=m)
-        total += f[np.argmax(s, axis=1)].sum()
-        done += m
-    return soft, total / draws
+    counts = np.zeros(d, dtype=np.int64)
+    for start, stop in chunks(draws, d):
+        s = sample_cyclostationary(cg, rng, size=stop - start)
+        counts += np.bincount(np.argmax(s, axis=1), minlength=d)
+    return soft, float(f @ counts) / draws
 
 
 def prop3_suite(draws: int = 100_000, seed=31) -> list[CheckRow]:

@@ -104,6 +104,22 @@ class TestRun:
         assert "--threads" in capsys.readouterr().err
         assert not (out / "stats.csv").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_efn_threads_below_one_is_usage_error(self, tmp_path, capsys, monkeypatch, threads):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "o"
+        monkeypatch.setenv("EFN_THREADS", threads)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "EFN_THREADS" in capsys.readouterr().err
+        assert not (out / "stats.csv").exists()
+
+    def test_non_integral_sweep_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", sweep={"axis": "M", "values": [10.9, 20.5, 30.2]})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not (out / "stats.csv").exists()
+
     def test_sweep_config(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", sweep={"axis": "M", "values": [10, 20]})
         out = tmp_path / "o"

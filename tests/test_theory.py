@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import efnlab as E
-from efnlab import alignment, experiment
+from efnlab import alignment, experiment, verify
 from efnlab.errors import InsufficientDataError, InvalidArgumentError
 from efnlab.theory import ConditionalGaussian
 
@@ -70,7 +70,7 @@ class TestSampler:
             mean=np.zeros(8), spectral_eigenvalues=np.zeros(8),
             sigma2=1.0, k=0, noise_magnitude=0.0, noise_phase=0.0,
         )
-        np.testing.assert_array_equal(E.sample_cyclostationary(cg, 0), np.zeros(8))
+        np.testing.assert_array_equal(E.sample_cyclostationary(cg, 0, size=3), np.zeros((3, 8)))
 
     def test_flat_eigenvalues_have_no_lag_correlation(self):
         d = 16
@@ -106,7 +106,14 @@ class TestSampler:
             sigma2=1.0, k=0, noise_magnitude=0.0, noise_phase=0.0,
         )
         with pytest.raises(InvalidArgumentError):
-            E.sample_cyclostationary(cg, 0)
+            E.sample_cyclostationary(cg, 0, size=1)
+
+    def test_consecutive_calls_continue_one_stream(self):
+        cg = E.build_conditional_gaussian(flat(16), 3, 1.0, 0.2)
+        rng = np.random.default_rng(8)
+        parts = [E.sample_cyclostationary(cg, rng, size=m) for m in (1, 5, 4)]
+        whole = E.sample_cyclostationary(cg, np.random.default_rng(8), size=10)
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
 
 
 class TestGumbelConstants:
@@ -294,6 +301,54 @@ class TestLemma1:
     def test_insufficient_draws_rejected(self):
         with pytest.raises(InsufficientDataError):
             E.lemma1_check(delta(8), 1, 0.0, 50_000, 0)
+
+    def test_chunk_size_invariant(self, monkeypatch):
+        d, phi = 8, math.pi / 3.0
+        whole = E.lemma1_check(delta(d), 1, phi, 100_003, 4)
+        monkeypatch.setattr(alignment, "BUDGET", 7 * d)
+        chunked = E.lemma1_check(delta(d), 1, phi, 100_003, 4)
+        for name in ("freq_pos", "freq_neg", "diff", "diff_stderr"):
+            np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
+        assert chunked.conc_sum == whole.conc_sum
+        assert chunked.conc_sum_stderr == whole.conc_sum_stderr
+
+    def test_matches_per_draw_reference(self):
+        # one sampler block, then the per-draw paired statistics
+        d, k, phi, n, seed = 8, 1, 2.0 * math.pi / 3.0, 100_000, 6
+        t = delta(d)
+        rep = E.lemma1_check(t, k, phi, n, seed)
+        cg = E.build_conditional_gaussian(t, k, 0.0, 0.0)
+        z = E.sample_cyclostationary(cg, np.random.default_rng(seed), size=n)
+        mu = np.cos(2.0 * np.pi * k * np.arange(d) / d + phi)
+        r1 = np.argmax(z + mu, axis=1)
+        r2 = np.argmax(z - mu, axis=1)
+        count1 = np.bincount(r1, minlength=d)
+        count2 = np.bincount(r2, minlength=d)
+        count_both = np.bincount(r1[r1 == r2], minlength=d)
+        diff = (count1 - count2) / n
+        var_diff = (count1 + count2 - 2.0 * count_both) / n - diff**2
+        term = np.cos(2.0 * np.pi * k * r1 / d + phi) - np.cos(2.0 * np.pi * k * r2 / d + phi)
+        np.testing.assert_allclose(rep.diff, diff, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rep.diff_stderr, np.sqrt(var_diff / n), rtol=1e-12)
+        assert rep.conc_sum == pytest.approx(term.sum() / n, rel=0, abs=1e-12)
+        var_conc = (term**2).sum() / n - (term.sum() / n) ** 2
+        assert rep.conc_sum_stderr == pytest.approx(math.sqrt(var_conc / n), rel=1e-12)
+
+
+class TestVerifyMonteCarlo:
+    def test_prop3_chunk_size_invariant(self, monkeypatch):
+        d = 64
+        whole = verify.prop3_case(d, 20_003, 2)
+        monkeypatch.setattr(alignment, "BUDGET", 7 * d)
+        assert verify.prop3_case(d, 20_003, 2) == whole
+
+    def test_gumbel_matches_single_block(self, monkeypatch):
+        d, n, seed = 64, 5000, 3
+        monkeypatch.setattr(alignment, "BUDGET", 7 * d)
+        row = verify.gumbel_suite(d=d, replicates=n, seed=seed)[0]
+        g = E.gumbel_constants(d)
+        maxima = np.random.default_rng(seed).standard_normal((n, d)).max(1)
+        assert row.measured == E.ks_statistic(g.a_d * (maxima - g.b_d))
 
 
 class TestAlignmentMoments:
