@@ -46,7 +46,6 @@ from .experiment import (
 )
 from .signals import (
     Assumption1Diagnostic,
-    NoiseSample,
     SignalFamilySpec,
     SpectralRepr,
     TemplateSignal,
@@ -54,7 +53,6 @@ from .signals import (
     check_assumption1,
     circular_shift,
     dft,
-    draw_noise,
     generate_template,
     idft,
     signal_from_csv,
@@ -68,17 +66,16 @@ from .theory import (
     CkEstimate,
     ConditionalGaussian,
     GumbelConstants,
-    Lemma1Report,
     alignment_moments,
     build_conditional_gaussian,
     estimate_ck_profile,
     gumbel_constants,
-    lemma1_check,
     m_star,
     predict_magnitude,
     predict_phase_mse,
     sample_cyclostationary,
     softmax_expectation,
 )
+from .verify import Lemma1Report, lemma1_check
 
 __version__ = "0.1.0"

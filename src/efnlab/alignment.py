@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import LengthMismatchError
-from .signals import NoiseSample, TemplateSignal, circular_shift
+from .signals import TemplateSignal, circular_shift, dft
 
 #: Doubles per row chunk: every Monte-Carlo loop in the package (trials, the
 #: ``C_k`` moments and the verify samplers) draws ``max(1, BUDGET // d)`` rows
@@ -29,12 +29,6 @@ from .signals import NoiseSample, TemplateSignal, circular_shift
 #: loops fold chunks in row order or into integer counts, so their results do
 #: not depend on it.
 BUDGET = 1 << 19
-
-
-def _noise_samples(noise) -> np.ndarray:
-    if isinstance(noise, NoiseSample):
-        return noise.samples
-    return np.asarray(noise, dtype=float)
 
 
 def chunks(count: int, d: int) -> Iterator[tuple[int, int]]:
@@ -74,12 +68,12 @@ class AlignmentResult:
 
 def correlation_sequence(noise, template: TemplateSignal) -> np.ndarray:
     """Entry l equals <n, T_l x>, computed via fast transforms."""
-    return align_rows(_noise_samples(noise)[None, :], template)[1][0]
+    return align_rows(np.asarray(noise, dtype=float)[None, :], template)[1][0]
 
 
 def correlation_oracle(noise, template: TemplateSignal) -> np.ndarray:
     """Direct O(d^2) evaluation of the same inner products (test reference)."""
-    n = _noise_samples(noise)
+    n = np.asarray(noise, dtype=float)
     if n.size != template.d:
         raise LengthMismatchError(f"noise length {n.size} != template length {template.d}")
     x = template.samples
@@ -90,15 +84,8 @@ def fourier_correlation_sequence(noise, template: TemplateSignal) -> np.ndarray:
     """Polar-form correlation: entry r is
     sum_k |X[k]| |N[k]| cos(2*pi*k*r/d + phi_N[k] - phi_X[k]).
     """
-    if isinstance(noise, NoiseSample):
-        spec_n = noise.spectrum
-        d = noise.d
-    else:
-        from .signals import dft
-
-        arr = np.asarray(noise, dtype=float)
-        spec_n = dft(arr)
-        d = arr.size
+    spec_n = dft(noise)
+    d = spec_n.d
     if d != template.d:
         raise LengthMismatchError(f"noise length {d} != template length {template.d}")
     spec_x = template.spectrum
@@ -119,7 +106,7 @@ def estimate_shift(noise, template: TemplateSignal) -> AlignmentResult:
         If the template spectrum fails the non-vanishing floor.
     """
     template.require_alignable()
-    shifts, corr, _ = align_rows(_noise_samples(noise)[None, :], template)
+    shifts, corr, _ = align_rows(np.asarray(noise, dtype=float)[None, :], template)
     shift = int(shifts[0])
     corr = corr[0]
     return AlignmentResult(

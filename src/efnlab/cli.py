@@ -100,7 +100,7 @@ def _stats_rows(stats, extra: dict | None = None) -> tuple[list[str], list[list]
     extra = extra or {}
     header = list(extra) + [
         "k", "phase_mse", "phase_mse_stderr", "mean_magnitude", "magnitude_stderr",
-        "predicted_mse_thm1", "predicted_mse_thm2",
+        "predicted_mse_thm1", "predicted_mse_thm1_stderr", "predicted_mse_thm2",
         "predicted_magnitude_thm1", "predicted_magnitude_thm2", "mse_ratio_thm2",
     ]
     rows = []

@@ -1,12 +1,15 @@
 """Seeded Monte-Carlo orchestration: trials, sweeps, and aggregate statistics.
 
-Reproducibility scheme: every observation gets its own RNG stream derived
-from ``SeedSequence(master_seed, spawn_key=(trial_index, observation_index))``,
-so no (trial, observation) pair ever shares a stream and results cannot
-depend on scheduling.  Within a trial, observations are aligned and summed in
-fixed-size chunks, in observation order; trials are aggregated in index
-order.  Together these make the output identical whether trials ran serially
-or across a process pool.
+Reproducibility scheme: every trial gets its own RNG stream derived from
+``SeedSequence(master_seed, spawn_key=(trial_index, 0))``, so no two trials
+share a stream and results cannot depend on scheduling.  Observation o of a
+trial is row o of that stream's ``standard_normal((M, d))``: the rows are
+drawn, aligned and summed in fixed-size chunks, in observation order, and
+each chunk continues the stream where the last one stopped.  So a trial does
+not depend on the chunk size, and its first M' observations are those of the
+M'-observation trial.  Trials are aggregated in index order.  Together these
+make the output identical whether trials ran serially or across a process
+pool.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .signals import SignalFamilySpec, TemplateSignal, generate_template, wrap_p
 from .theory import estimate_ck_profile, predict_magnitude, predict_phase_mse
 
 # Reserved single-element spawn key for the prediction Monte-Carlo; disjoint
-# from the (trial, observation) two-element keys used for noise streams.
+# from the (trial, 0) two-element keys used for noise streams.
 _CK_SEED_LANE = 0x5EED
 
 SWEEP_AXES = ("M", "d", "beta", "pad-ratio")
@@ -79,7 +82,7 @@ class ExperimentConfig:
             raise InvalidArgumentError(f"sigma must be positive and finite, got {self.sigma}")
         if self.master_seed < 0:
             raise InvalidArgumentError("master_seed must be a nonnegative integer")
-        freqs = tuple(int(k) for k in self.frequencies)
+        freqs = tuple(_integral("frequencies", k) for k in self.frequencies)
         if any(k < 0 or k > self.template.d - 1 for k in freqs):
             raise InvalidArgumentError(
                 f"frequencies must lie in [0, {self.template.d - 1}], got {freqs}"
@@ -154,6 +157,7 @@ class AggregateStats:
     mean_pearson: float
     pearson_stderr: float
     predicted_mse_thm1: np.ndarray
+    predicted_mse_thm1_stderr: np.ndarray
     predicted_mse_thm2: np.ndarray
     predicted_magnitude_thm1: np.ndarray
     predicted_magnitude_thm2: np.ndarray
@@ -178,6 +182,7 @@ class AggregateStats:
                     "mean_magnitude": self.mean_magnitude[i],
                     "magnitude_stderr": self.magnitude_stderr[i],
                     "predicted_mse_thm1": self.predicted_mse_thm1[i],
+                    "predicted_mse_thm1_stderr": self.predicted_mse_thm1_stderr[i],
                     "predicted_mse_thm2": self.predicted_mse_thm2[i],
                     "predicted_magnitude_thm1": self.predicted_magnitude_thm1[i],
                     "predicted_magnitude_thm2": self.predicted_magnitude_thm2[i],
@@ -197,28 +202,17 @@ class AggregateStats:
             "mean_magnitude": self.mean_magnitude.tolist(),
             "magnitude_stderr": self.magnitude_stderr.tolist(),
             "predicted_mse_thm1": self.predicted_mse_thm1.tolist(),
+            "predicted_mse_thm1_stderr": self.predicted_mse_thm1_stderr.tolist(),
             "predicted_mse_thm2": self.predicted_mse_thm2.tolist(),
             "predicted_magnitude_thm1": self.predicted_magnitude_thm1.tolist(),
             "predicted_magnitude_thm2": self.predicted_magnitude_thm2.tolist(),
         }
 
 
-def observation_rng(master_seed: int, trial_index: int, observation_index: int) -> np.random.Generator:
-    """The dedicated RNG stream of one (trial, observation) pair."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(trial_index, observation_index))
+def observation_rng(master_seed: int, trial_index: int) -> np.random.Generator:
+    """The dedicated RNG stream of one trial; its rows are the observations."""
+    ss = np.random.SeedSequence(master_seed, spawn_key=(trial_index, 0))
     return np.random.default_rng(ss)
-
-
-def _noise_block(
-    master_seed: int, trial_index: int, M: int, d: int, sigma: float, first: int = 0
-) -> np.ndarray:
-    """Observations first .. first+M-1 of a trial, one row each."""
-    block = np.empty((M, d))
-    for i in range(M):
-        block[i] = observation_rng(master_seed, trial_index, first + i).standard_normal(d)
-    if sigma != 1.0:
-        block *= sigma
-    return block
 
 
 def _template_of(config: ExperimentConfig) -> TemplateSignal:
@@ -232,16 +226,18 @@ def _template_of(config: ExperimentConfig) -> TemplateSignal:
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
     """One independent estimate: draw M observations, align, average, measure.
 
-    Observations are drawn and aligned one fixed-size chunk at a time.  The
-    running total is added into each chunk's first aligned row before the
-    chunk is summed, so the total is the row-order sum of all M aligned
-    observations, bit for bit, whatever the chunk size.
+    Observations are drawn from the trial's one stream and aligned one
+    fixed-size chunk at a time.  The running total is added into each
+    chunk's first aligned row before the chunk is summed, so the total is the
+    row-order sum of all M aligned observations, bit for bit, whatever the
+    chunk size.
     """
     template = _template_of(config)
     d = template.d
+    rng = observation_rng(config.master_seed, trial_index)
     total = None
     for start, stop in chunks(config.M, d):
-        noise = _noise_block(config.master_seed, trial_index, stop - start, d, config.sigma, start)
+        noise = config.sigma * rng.standard_normal((stop - start, d))
         shifts = align_rows(noise, template)[0]
         cols = (np.arange(d)[None, :] + shifts[:, None]) % d
         aligned = np.take_along_axis(noise, cols, axis=1)
@@ -289,12 +285,13 @@ def aggregate_trials(config: ExperimentConfig, results: Sequence[TrialResult]) -
             template, config.ck_trials, ck_seed, sigma=config.sigma, ks=ks
         )
         pred1 = np.asarray([est.ck / config.M for est in profile])
+        pred1_se = np.asarray([est.stderr / config.M for est in profile])
         pred1_mag = np.asarray([est.mu_b for est in profile])
         pred2 = np.asarray([predict_phase_mse(template, int(k), config.M) for k in ks])
         pred2_mag = np.asarray([predict_magnitude(template, int(k)) for k in ks])
     else:
         mse = mse_se = mag_mean = mag_se = np.empty(0)
-        pred1 = pred2 = pred1_mag = pred2_mag = np.empty(0)
+        pred1 = pred1_se = pred2 = pred1_mag = pred2_mag = np.empty(0)
 
     return AggregateStats(
         config=config,
@@ -307,6 +304,7 @@ def aggregate_trials(config: ExperimentConfig, results: Sequence[TrialResult]) -
         mean_pearson=float(pearsons.mean()),
         pearson_stderr=float(pearsons.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan"),
         predicted_mse_thm1=pred1,
+        predicted_mse_thm1_stderr=pred1_se,
         predicted_mse_thm2=pred2,
         predicted_magnitude_thm1=pred1_mag,
         predicted_magnitude_thm2=pred2_mag,

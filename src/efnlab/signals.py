@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -168,36 +168,6 @@ class TemplateSignal:
 
     def __repr__(self):
         return f"TemplateSignal(d={self.d}, non_vanishing={self.non_vanishing})"
-
-
-@dataclass(frozen=True)
-class NoiseSample:
-    """One pure-noise observation: i.i.d. N(0, sigma^2) entries."""
-
-    samples: np.ndarray
-    sigma: float
-    spectrum: SpectralRepr = field(init=False)
-
-    def __post_init__(self):
-        x = _readonly(self.samples)
-        if x.ndim != 1 or x.size < 2:
-            raise InvalidArgumentError("noise must be a 1-d signal with d >= 2")
-        if self.sigma <= 0:
-            raise InvalidArgumentError("sigma must be positive")
-        object.__setattr__(self, "samples", x)
-        object.__setattr__(self, "spectrum", dft(x))
-
-    @property
-    def d(self) -> int:
-        return self.samples.size
-
-
-def draw_noise(d: int, sigma: float, rng) -> NoiseSample:
-    """Draw one NoiseSample from a Generator (or integer seed)."""
-    if d < 2 or d % 2 != 0:
-        raise InvalidArgumentError("d must be even and >= 2")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    return NoiseSample(sigma * rng.standard_normal(d), sigma)
 
 
 FAMILIES = ("delta", "power-law-psd", "zero-padded-pulse", "explicit-samples")

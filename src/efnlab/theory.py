@@ -19,11 +19,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .alignment import align_rows, chunks
-from .errors import InsufficientDataError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .signals import TemplateSignal
-
-#: Fewest draws :func:`lemma1_check` accepts.
-LEMMA1_MIN_DRAWS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -348,83 +345,3 @@ def predict_magnitude(template: TemplateSignal, k: int) -> float:
     :func:`estimate_ck_profile`.
     """
     return math.sqrt(2.0 * math.log(template.d)) * float(template.spectrum.magnitudes[k])
-
-
-# ---------------------------------------------------------------------------
-# Sign-pattern check for the argmax probability inequalities
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Lemma1Report:
-    """Empirical argmax frequencies of S1 ~ N(+mu, Sigma) vs S2 ~ N(-mu, Sigma).
-
-    mu[l] = cos(2*pi*k*l/d + phi); Sigma is the sigma2-normalized conditional
-    covariance built from the template at frequency k.  diff[l] estimates
-    P[argmax S1 = l] - P[argmax S2 = l], whose sign should match sign(mu[l]);
-    conc_sum estimates sum_l cos(2*pi*k*l/d + phi) * diff[l], which should be
-    positive.
-    """
-
-    k: int
-    phi: float
-    trials: int
-    mu: np.ndarray
-    freq_pos: np.ndarray
-    freq_neg: np.ndarray
-    diff: np.ndarray
-    diff_stderr: np.ndarray
-    conc_sum: float
-    conc_sum_stderr: float
-
-    def signs_match(self, min_abs_mu: float = 0.3) -> bool:
-        sel = np.abs(self.mu) > min_abs_mu
-        return bool(np.all(np.sign(self.diff[sel]) == np.sign(self.mu[sel])))
-
-
-def lemma1_check(
-    template: TemplateSignal, k: int, phi: float, trials: int, seed
-) -> Lemma1Report:
-    """Sample the +mu and -mu processes on common noise and tabulate argmaxes.
-
-    Pairing the draws cancels most of the sampling noise in the frequency
-    differences; standard errors come from the per-draw paired statistics.
-    The draws are counted in one integer histogram ``joint[r1, r2]`` of the
-    two argmaxes, chunk by chunk, so the report does not depend on the chunk
-    size.
-    """
-    if trials < LEMMA1_MIN_DRAWS:
-        raise InsufficientDataError(f"lemma1_check needs at least {LEMMA1_MIN_DRAWS} draws")
-    d = template.d
-    cg = build_conditional_gaussian(template, k, 0.0, 0.0)
-    mu = np.cos(2.0 * np.pi * k * np.arange(d) / d + phi)
-    rng = np.random.default_rng(seed)
-
-    joint = np.zeros(d * d, dtype=np.int64)
-    for start, stop in chunks(trials, d):
-        z = sample_cyclostationary(cg, rng, size=stop - start)
-        r1 = np.argmax(z + mu[None, :], axis=1)
-        r2 = np.argmax(z - mu[None, :], axis=1)
-        joint += np.bincount(r1 * d + r2, minlength=d * d)
-    joint = joint.reshape(d, d)
-    term = mu[:, None] - mu[None, :]  # per-draw concentration term at (r1, r2)
-
-    n = float(trials)
-    count1, count2 = joint.sum(axis=1), joint.sum(axis=0)
-    freq1 = count1 / n
-    freq2 = count2 / n
-    diff = freq1 - freq2
-    var_diff = np.maximum((count1 + count2 - 2 * np.diag(joint)) / n - diff**2, 0.0)
-    mean_conc = float((joint * term).sum()) / n
-    var_conc = max(float((joint * term**2).sum()) / n - mean_conc**2, 0.0)
-    return Lemma1Report(
-        k=k,
-        phi=float(phi),
-        trials=trials,
-        mu=mu,
-        freq_pos=freq1,
-        freq_neg=freq2,
-        diff=diff,
-        diff_stderr=np.sqrt(var_diff / n),
-        conc_sum=mean_conc,
-        conc_sum_stderr=float(math.sqrt(var_conc / n)),
-    )

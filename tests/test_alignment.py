@@ -15,10 +15,10 @@ def plaw(d, beta=1.0, seed=1, zero_dc=False):
 
 class TestCorrelationSequence:
     def test_delta_template_selects_samples(self):
-        n = E.NoiseSample(np.array([0.5, -1.0, 2.0, 0.3]), 1.0)
+        n = np.array([0.5, -1.0, 2.0, 0.3])
         t = E.generate_template(E.SignalFamilySpec(family="delta", d=4))
-        np.testing.assert_array_equal(E.correlation_oracle(n, t), n.samples)
-        np.testing.assert_allclose(E.correlation_sequence(n, t), n.samples, atol=1e-12)
+        np.testing.assert_array_equal(E.correlation_oracle(n, t), n)
+        np.testing.assert_allclose(E.correlation_sequence(n, t), n, atol=1e-12)
 
     def test_planted_copy_peaks_at_its_shift(self):
         t = plaw(64, beta=2.0)
@@ -31,7 +31,7 @@ class TestCorrelationSequence:
         rng = np.random.default_rng(42)
         t = plaw(32, beta=1.0)
         for _ in range(50):
-            n = E.NoiseSample(rng.standard_normal(32), 1.0)
+            n = rng.standard_normal(32)
             fast = E.correlation_sequence(n, t)
             direct = E.correlation_oracle(n, t)
             assert np.abs(fast - direct).max() <= 1e-9 * np.abs(direct).max()
@@ -103,7 +103,7 @@ class TestFourierRoute:
         cases = 200
         for i in range(cases):
             t = plaw(64, beta=float(rng.uniform(0, 2)), seed=int(rng.integers(1 << 30)))
-            n = E.NoiseSample(rng.standard_normal(64), 1.0)
+            n = rng.standard_normal(64)
             a = int(np.argmax(E.correlation_sequence(n, t)))
             b = int(np.argmax(E.fourier_correlation_sequence(n, t)))
             agree += int(a == b)
@@ -113,7 +113,7 @@ class TestFourierRoute:
         # under the unitary convention the polar cosine sum IS the inner product
         rng = np.random.default_rng(5)
         t = plaw(32)
-        n = E.NoiseSample(rng.standard_normal(32), 1.0)
+        n = rng.standard_normal(32)
         np.testing.assert_allclose(
             E.fourier_correlation_sequence(n, t),
             E.correlation_sequence(n, t),
@@ -129,8 +129,8 @@ class TestFourierRoute:
 
     def test_two_term_cosine_expansion_at_d2(self):
         t = E.TemplateSignal(np.array([0.8, 0.6]))
-        n = E.NoiseSample(np.array([1.3, -0.4]), 1.0)
-        st, sn = t.spectrum, n.spectrum
+        n = np.array([1.3, -0.4])
+        st, sn = t.spectrum, E.dft(n)
         expected = np.array(
             [
                 sum(
@@ -148,9 +148,10 @@ class TestFourierRoute:
         rng = np.random.default_rng(23)
         t = plaw(32, beta=0.5, seed=9)
         for _ in range(100):
-            n = E.NoiseSample(rng.standard_normal(32), 1.0)
-            flipped_phases = E.wrap_phase(2.0 * t.spectrum.phases - n.spectrum.phases)
-            spec = E.SpectralRepr(n.spectrum.magnitudes, flipped_phases)
+            n = rng.standard_normal(32)
+            sn = E.dft(n)
+            flipped_phases = E.wrap_phase(2.0 * t.spectrum.phases - sn.phases)
+            spec = E.SpectralRepr(sn.magnitudes, flipped_phases)
             n_flip = E.idft(spec)
             r = int(np.argmax(E.fourier_correlation_sequence(n, t)))
             r_flip = int(np.argmax(E.fourier_correlation_sequence(n_flip, t)))

@@ -34,13 +34,13 @@ def trial_config(template_spec, M, **kw):
 
 
 class _RepeatedRow:
-    """Stand-in observation stream that always draws the same row."""
+    """Stand-in trial stream whose every observation is the same row."""
 
     def __init__(self, row):
         self.row = np.asarray(row, dtype=float)
 
-    def standard_normal(self, d):
-        return self.row.copy()
+    def standard_normal(self, shape):
+        return np.tile(self.row, (shape[0], 1))
 
 
 class TestAccumulator:
@@ -87,13 +87,10 @@ class TestAccumulator:
         t = E.generate_template(spec)
         phasors = np.zeros(64, dtype=complex)
         k = np.arange(64)
-        for o in range(cfg.M):
-            n = E.NoiseSample(E.observation_rng(5, 0, o).standard_normal(64), 1.0)
+        for n in E.observation_rng(5, 0).standard_normal((cfg.M, 64)):
             r = E.estimate_shift(n, t).shift
-            phasors += (
-                n.spectrum.magnitudes
-                * np.exp(1j * (n.spectrum.phases + 2.0 * np.pi * k * r / 64))
-            )
+            spec = E.dft(n)
+            phasors += spec.magnitudes * np.exp(1j * (spec.phases + 2.0 * np.pi * k * r / 64))
         phasors /= cfg.M
         res = E.run_trial(cfg, 0)
         direct = res.magnitudes * np.exp(1j * (res.phase_errors + t.spectrum.phases))

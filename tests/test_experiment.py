@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import efnlab as E
 from efnlab import alignment, experiment
 from efnlab.errors import InsufficientDataError, InvalidArgumentError, RejectedTemplateError
-from efnlab.experiment import _noise_block
 
 
 def small_config(**kw):
@@ -24,24 +24,55 @@ def small_config(**kw):
     return E.ExperimentConfig(**base)
 
 
+def oracle_trial(cfg, trial_index, drawn=None):
+    """Observation o is row o of the trial's stream, aligned by direct sums.
+
+    ``drawn`` rows are taken from the stream and the first M kept.
+    """
+    template = E.generate_template(cfg.template)
+    rng = E.observation_rng(cfg.master_seed, trial_index)
+    noise = rng.standard_normal((drawn or cfg.M, template.d))[: cfg.M]
+    rows = []
+    for n in cfg.sigma * noise:
+        shift = int(np.argmax(E.correlation_oracle(n, template)))
+        rows.append(E.circular_shift(n, -shift))
+    return template, E.EfnEstimate.from_samples(np.mean(rows, axis=0), cfg.M)
+
+
+def assert_trial_matches(res, template, ref, ks):
+    np.testing.assert_allclose(res.magnitudes, ref.spectrum.magnitudes[ks], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        res.phase_errors,
+        E.wrap_phase(ref.spectrum.phases[ks] - template.spectrum.phases[ks]),
+        rtol=0,
+        atol=1e-12,
+    )
+    assert res.pearson == pytest.approx(
+        E.pearson_correlation(ref.samples, template.samples), abs=1e-12
+    )
+
+
 class TestSeeding:
     def test_streams_are_distinct(self):
-        draws = {
-            (t, o): E.observation_rng(9, t, o).standard_normal(4).tobytes()
-            for t in range(3)
-            for o in range(3)
-        }
+        draws = {t: E.observation_rng(9, t).standard_normal(4).tobytes() for t in range(9)}
         assert len(set(draws.values())) == 9
 
     def test_swapped_indices_differ(self):
-        a = E.observation_rng(9, 0, 1).standard_normal(4)
-        b = E.observation_rng(9, 1, 0).standard_normal(4)
+        a = E.observation_rng(0, 1).standard_normal(4)
+        b = E.observation_rng(1, 0).standard_normal(4)
         assert not np.array_equal(a, b)
 
-    def test_block_rows_match_streams(self):
-        block = _noise_block(7, 2, 3, 8, 1.0)
-        for o in range(3):
-            np.testing.assert_array_equal(block[o], E.observation_rng(7, 2, o).standard_normal(8))
+    def test_trial_stream_differs_from_ck_lane(self):
+        # a one-element (trial,) key would reuse the C_k stream at this trial index
+        lane = experiment._CK_SEED_LANE
+        ck = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(lane,)))
+        assert not np.array_equal(E.observation_rng(9, lane).standard_normal(8), ck.standard_normal(8))
+
+    def test_trial_is_prefix_of_longer_trial(self):
+        # the first M' rows of the M-row stream are the M'-observation trial
+        cfg = small_config(M=20)
+        template, ref = oracle_trial(cfg, 1, drawn=50)
+        assert_trial_matches(E.run_trial(cfg, 1), template, ref, np.asarray(cfg.frequencies))
 
 
 class TestRunTrial:
@@ -63,9 +94,9 @@ class TestRunTrial:
         cfg = small_config(M=1)
         res = E.run_trial(cfg, 4)
         template = E.generate_template(cfg.template)
-        noise = E.NoiseSample(E.observation_rng(cfg.master_seed, 4, 0).standard_normal(64), 1.0)
+        noise = E.observation_rng(cfg.master_seed, 4).standard_normal((1, 64))[0]
         shift = E.estimate_shift(noise, template).shift
-        manual = E.EfnEstimate.from_samples(E.circular_shift(noise.samples, -shift), 1)
+        manual = E.EfnEstimate.from_samples(E.circular_shift(noise, -shift), 1)
         ks = np.asarray(cfg.frequencies)
         np.testing.assert_allclose(res.magnitudes, manual.spectrum.magnitudes[ks], atol=1e-12)
         assert res.pearson == pytest.approx(
@@ -77,24 +108,36 @@ class TestRunTrial:
         cfg = small_config()
         monkeypatch.setattr(alignment, "BUDGET", 7 * 64)
         res = E.run_trial(cfg, 2)
-        template = E.generate_template(cfg.template)
-        rows = []
-        for o in range(cfg.M):
-            n = E.observation_rng(cfg.master_seed, 2, o).standard_normal(64)
-            shift = int(np.argmax(E.correlation_oracle(n, template)))
-            rows.append(E.circular_shift(n, -shift))
-        ref = E.EfnEstimate.from_samples(np.mean(rows, axis=0), cfg.M)
-        ks = np.asarray(cfg.frequencies)
-        np.testing.assert_allclose(res.magnitudes, ref.spectrum.magnitudes[ks], rtol=0, atol=1e-12)
+        template, ref = oracle_trial(cfg, 2)
+        assert_trial_matches(res, template, ref, np.asarray(cfg.frequencies))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.sampled_from([8, 16, 32]),
+        M=st.integers(1, 30),
+        shift=st.integers(0, 31),
+        template_seed=st.integers(0, 2**32 - 1),
+        master_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shift_equivariance_of_whole_estimator(self, d, M, shift, template_seed, master_seed):
+        # rolling the template rolls every alignment, hence the estimate, by
+        # the same lag: magnitudes, Pearson and phase errors stay put
+        x = np.random.default_rng(template_seed).standard_normal(d)
+        configs = [
+            small_config(
+                template=E.SignalFamilySpec(family="explicit-samples", d=d, samples=tuple(samples)),
+                M=M,
+                master_seed=master_seed,
+                frequencies=tuple(range(d)),
+            )
+            for samples in (x, np.roll(x, shift))
+        ]
+        base, moved = (E.run_trial(cfg, 0) for cfg in configs)
+        np.testing.assert_allclose(moved.magnitudes, base.magnitudes, rtol=0, atol=1e-9)
         np.testing.assert_allclose(
-            res.phase_errors,
-            E.wrap_phase(ref.spectrum.phases[ks] - template.spectrum.phases[ks]),
-            rtol=0,
-            atol=1e-12,
+            E.wrap_phase(moved.phase_errors - base.phase_errors), 0.0, rtol=0, atol=1e-9
         )
-        assert res.pearson == pytest.approx(
-            E.pearson_correlation(ref.samples, template.samples), abs=1e-12
-        )
+        assert moved.pearson == pytest.approx(base.pearson, abs=1e-9)
 
 
 class TestAggregation:
@@ -137,6 +180,19 @@ class TestAggregation:
         assert stats.predicted_mse_thm2.shape == stats.phase_mse.shape
         assert np.all(stats.predicted_mse_thm1 > 0)
         assert np.all(stats.mse_ratio_thm2 > 0)
+
+    def test_thm1_stderr_is_profile_stderr_over_m(self):
+        cfg = small_config(trials=2, ck_trials=1000)
+        stats = E.aggregate_trials(cfg, [E.run_trial(cfg, t) for t in range(2)])
+        ck_seed = np.random.SeedSequence(cfg.master_seed, spawn_key=(experiment._CK_SEED_LANE,))
+        profile = E.estimate_ck_profile(
+            E.generate_template(cfg.template), 1000, ck_seed, ks=cfg.frequencies
+        )
+        assert stats.predicted_mse_thm1_stderr.tolist() == [est.stderr / cfg.M for est in profile]
+        assert np.all(stats.predicted_mse_thm1_stderr > 0)
+        assert [row["predicted_mse_thm1_stderr"] for row in stats.rows()] == (
+            stats.summary()["predicted_mse_thm1_stderr"]
+        )
 
     def test_no_trials_rejected(self):
         with pytest.raises(InsufficientDataError):
@@ -186,14 +242,16 @@ class TestConfigValidation:
         with pytest.raises(InvalidArgumentError, match="unknown"):
             E.ExperimentConfig.from_dict({**cfg.to_dict(), "bogus": 1})
 
-    @pytest.mark.parametrize("field", ["M", "trials", "ck_trials", "master_seed"])
+    @pytest.mark.parametrize("field", ["M", "trials", "ck_trials", "master_seed", "frequencies"])
     def test_from_dict_rejects_non_integral_counts(self, field):
-        doc = small_config(ck_trials=1000).to_dict()
-        doc[field] = doc[field] + 0.5
+        cfg = small_config(ck_trials=1000)
+        doc = cfg.to_dict()
+        whole = np.asarray(doc[field], dtype=float)
+        doc[field] = (whole + 0.5).tolist()
         with pytest.raises(InvalidArgumentError, match=field):
             E.ExperimentConfig.from_dict(doc)
-        doc[field] = float(doc[field] - 0.5)  # a whole float is still accepted
-        assert getattr(E.ExperimentConfig.from_dict(doc), field) == doc[field]
+        doc[field] = whole.tolist()  # a whole float is still accepted
+        assert E.ExperimentConfig.from_dict(doc) == cfg
 
     @pytest.mark.parametrize("axis", ["M", "d"])
     def test_sweep_rejects_non_integral_values(self, axis):

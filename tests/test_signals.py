@@ -263,15 +263,6 @@ class TestNoiseDistribution:
         stat = ((counts - expected) ** 2 / expected).sum()
         assert stat <= chi2.ppf(0.99, bins - 1)
 
-    def test_draw_noise_matches_sigma(self):
-        ns = E.draw_noise(32, 2.0, 99)
-        assert ns.sigma == 2.0
-        assert ns.d == 32
-        with pytest.raises(InvalidArgumentError):
-            E.draw_noise(31, 1.0, 0)
-        with pytest.raises(InvalidArgumentError):
-            E.draw_noise(32, 0.0, 0)
-
 
 class TestSerialization:
     def test_json_round_trip(self):

@@ -298,6 +298,19 @@ class TestLemma1:
         se = np.sqrt(f1 * (1 - f1) / n + f2 * (1 - f2) / n)
         assert np.all(np.abs(f1 - f2) <= 3 * se)
 
+    def test_draws_go_through_verify_sampler(self, monkeypatch):
+        # the benchmark's trace counts sampler draws under efnlab.verify
+        drawn = []
+        sampler = verify.sample_cyclostationary
+
+        def counting(cg, rng, size):
+            drawn.append(size)
+            return sampler(cg, rng, size)
+
+        monkeypatch.setattr(verify, "sample_cyclostationary", counting)
+        verify.lemma1_check(delta(8), 1, 0.0, 100_000, 9)
+        assert sum(drawn) == 100_000
+
     def test_insufficient_draws_rejected(self):
         with pytest.raises(InsufficientDataError):
             E.lemma1_check(delta(8), 1, 0.0, 50_000, 0)
