@@ -8,10 +8,8 @@ converge, and cross-validates simulation against theory.
 """
 
 from .alignment import (
-    AlignmentResult,
     correlation_oracle,
     correlation_sequence,
-    estimate_shift,
     fourier_correlation_sequence,
 )
 from .errors import (
@@ -22,13 +20,7 @@ from .errors import (
     RejectedTemplateError,
     UndefinedCorrelationError,
 )
-from .estimator import (
-    EfnEstimate,
-    PhaseMse,
-    pearson_correlation,
-    phase_error,
-    phase_mse,
-)
+from .estimator import EfnEstimate, pearson_correlation
 from .experiment import (
     AggregateStats,
     ExperimentConfig,
@@ -45,18 +37,13 @@ from .experiment import (
     sweep_configs,
 )
 from .signals import (
-    Assumption1Diagnostic,
     SignalFamilySpec,
     SpectralRepr,
     TemplateSignal,
-    autocorrelation,
-    check_assumption1,
     circular_shift,
     dft,
     generate_template,
     idft,
-    signal_from_csv,
-    signal_from_json,
     signal_to_csv,
     signal_to_json,
     wrap_phase,
@@ -70,7 +57,6 @@ from .theory import (
     build_conditional_gaussian,
     estimate_ck_profile,
     gumbel_constants,
-    m_star,
     predict_magnitude,
     predict_phase_mse,
     sample_cyclostationary,

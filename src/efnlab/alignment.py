@@ -5,8 +5,8 @@ of <n, T_l x>, where T_l is the cyclic shift and x the template.  Three
 routes compute the same correlation sequence:
 
 * :func:`align_rows`             -- FFT-based, O(d log d), the production kernel
-  behind :func:`correlation_sequence`, :func:`estimate_shift`, the trial loop
-  and the ``C_k`` Monte-Carlo;
+  behind :func:`correlation_sequence`, the trial loop and the ``C_k``
+  Monte-Carlo;
 * :func:`correlation_oracle`     -- direct O(d^2) sums, the test reference;
 * :func:`fourier_correlation_sequence` -- the magnitude/phase cosine-sum form,
   assembled from polar spectra.  Under the unitary convention it equals the
@@ -15,7 +15,6 @@ routes compute the same correlation sequence:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -52,20 +51,6 @@ def align_rows(rows: np.ndarray, template: TemplateSignal):
     return np.argmax(corr, axis=1), corr, spec
 
 
-@dataclass(frozen=True)
-class AlignmentResult:
-    """Outcome of shift estimation for one observation.
-
-    shift is the argmax lag in [0, d-1]; exact ties resolve to the smallest
-    index.  degenerate marks an all-equal correlation sequence (e.g. a
-    template with only DC energy against zero-DC noise).
-    """
-
-    shift: int
-    peak_value: float
-    degenerate: bool = False
-
-
 def correlation_sequence(noise, template: TemplateSignal) -> np.ndarray:
     """Entry l equals <n, T_l x>, computed via fast transforms."""
     return align_rows(np.asarray(noise, dtype=float)[None, :], template)[1][0]
@@ -96,21 +81,3 @@ def fourier_correlation_sequence(noise, template: TemplateSignal) -> np.ndarray:
     )
     return (d * np.fft.ifft(c)).real
 
-
-def estimate_shift(noise, template: TemplateSignal) -> AlignmentResult:
-    """Align one observation against the template.
-
-    Raises
-    ------
-    RejectedTemplateError
-        If the template spectrum fails the non-vanishing floor.
-    """
-    template.require_alignable()
-    shifts, corr, _ = align_rows(np.asarray(noise, dtype=float)[None, :], template)
-    shift = int(shifts[0])
-    corr = corr[0]
-    return AlignmentResult(
-        shift=shift,
-        peak_value=float(corr[shift]),
-        degenerate=bool(np.all(corr == corr[0])),
-    )

@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .errors import InvalidArgumentError
 from .experiment import (
+    CSV_COLUMNS,
     ExperimentConfig,
     SweepSpec,
     run_experiment,
@@ -89,24 +90,13 @@ def _load_config(path: str, args) -> ExperimentConfig:
         raise InvalidArgumentError(f"config: {e}") from e
     except json.JSONDecodeError as e:
         raise InvalidArgumentError(f"config: line {e.lineno}: {e.msg}") from e
+    if not isinstance(doc, dict):
+        raise InvalidArgumentError("config: the top level must be a JSON object")
     for flag, field in (("M", "M"), ("trials", "trials"), ("sigma", "sigma"), ("seed", "master_seed"), ("ck_trials", "ck_trials")):
         v = getattr(args, flag, None)
         if v is not None:
             doc[field] = v
     return ExperimentConfig.from_dict(doc)
-
-
-def _stats_rows(stats, extra: dict | None = None) -> tuple[list[str], list[list]]:
-    extra = extra or {}
-    header = list(extra) + [
-        "k", "phase_mse", "phase_mse_stderr", "mean_magnitude", "magnitude_stderr",
-        "predicted_mse_thm1", "predicted_mse_thm1_stderr", "predicted_mse_thm2",
-        "predicted_magnitude_thm1", "predicted_magnitude_thm2", "mse_ratio_thm2",
-    ]
-    rows = []
-    for rec in stats.rows():
-        rows.append(list(extra.values()) + [rec[h] for h in header[len(extra):]])
-    return header, rows
 
 
 def cmd_run(args) -> int:
@@ -120,19 +110,15 @@ def cmd_run(args) -> int:
     json_path = out_dir / "summary.json"
     if config.sweep is None:
         stats = run_experiment(config, workers=workers)
-        header, rows = _stats_rows(stats)
+        header = list(CSV_COLUMNS)
+        rows = [list(rec.values()) for rec in stats.rows()]
         summary = stats.summary()
     else:
-        results = run_sweep(config, workers=workers)
-        header, rows = [], []
-        summary = []
-        for value, stats in results:
-            h, r = _stats_rows(stats, extra={config.sweep.axis: value})
-            header = h
-            rows.extend(r)
+        header = [config.sweep.axis, *CSV_COLUMNS]
+        rows, summary = [], []
+        for value, stats in run_sweep(config, workers=workers):
+            rows.extend([value, *rec.values()] for rec in stats.rows())
             summary.append({"value": value, **stats.summary()})
-        if not header:  # sweep with empty frequency list
-            header = [config.sweep.axis]
     _write_csv(csv_path, header, rows)
     json_path.write_text(json.dumps(summary, indent=2) + "\n")
     _write_manifest(out_dir, "run", config.to_dict(), [csv_path, json_path], t0)
@@ -254,7 +240,7 @@ def cmd_gen_template(args) -> int:
     if out.suffix == ".csv":
         out.write_text(signal_to_csv(template.samples))
     else:
-        out.write_text(signal_to_json(template.samples, template.spectrum) + "\n")
+        out.write_text(signal_to_json(template.samples) + "\n")
     print(f"wrote {out}")
     return 0
 

@@ -35,10 +35,20 @@ _CK_SEED_LANE = 0x5EED
 
 SWEEP_AXES = ("M", "d", "beta", "pad-ratio")
 
+#: Fewest samples :func:`ks_statistic` accepts.
+KS_MIN_SAMPLES = 100
+
+
+def _typed(field: str, value, kind, name: str):
+    """``value`` itself if it is a ``kind`` and not a bool; otherwise a config error."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InvalidArgumentError(f"{field} must be {name}, got {value!r}")
+    return value
+
 
 def _integral(field: str, value) -> int:
     """``value`` as an int; anything but a whole number is a config error."""
-    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+    if not float(_typed(field, value, numbers.Real, "an integer")).is_integer():
         raise InvalidArgumentError(f"{field} must be an integer, got {value!r}")
     return int(value)
 
@@ -52,11 +62,13 @@ class SweepSpec:
         if self.axis not in SWEEP_AXES:
             raise InvalidArgumentError(f"sweep.axis must be one of {SWEEP_AXES}, got {self.axis!r}")
         vals = tuple(self.values)
+        for v in vals:
+            if self.axis in ("M", "d"):
+                _integral(f"sweep.values ({self.axis})", v)
+            else:
+                _typed(f"sweep.values ({self.axis})", v, numbers.Real, "a number")
         if len(vals) < 1 or any(b <= a for a, b in zip(vals, vals[1:])):
             raise InvalidArgumentError("sweep.values must be non-empty and strictly increasing")
-        if self.axis in ("M", "d"):
-            for v in vals:
-                _integral(f"sweep.values ({self.axis})", v)
         object.__setattr__(self, "values", vals)
 
 
@@ -109,16 +121,20 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if "template" not in doc:
             raise InvalidArgumentError("config missing required field 'template'")
-        tdoc = dict(doc["template"])
+        tdoc = dict(_typed("template", doc["template"], dict, "an object"))
         if tdoc.get("samples") is not None:
-            tdoc["samples"] = tuple(tdoc["samples"])
+            tdoc["samples"] = tuple(_typed("template.samples", tdoc["samples"], list, "a list"))
         try:
             template = SignalFamilySpec(**tdoc)
         except TypeError as e:
             raise InvalidArgumentError(f"template: {e}") from e
         sweep = None
         if doc.get("sweep") is not None:
-            sweep = SweepSpec(axis=doc["sweep"]["axis"], values=tuple(doc["sweep"]["values"]))
+            sdoc = _typed("sweep", doc["sweep"], dict, "an object")
+            if not {"axis", "values"} <= set(sdoc):
+                raise InvalidArgumentError("sweep needs the fields 'axis' and 'values'")
+            values = _typed("sweep.values", sdoc["values"], list, "a list")
+            sweep = SweepSpec(axis=sdoc["axis"], values=tuple(values))
         known = {"template", "M", "trials", "sigma", "master_seed", "frequencies", "sweep", "ck_trials"}
         unknown = set(doc) - known
         if unknown:
@@ -127,9 +143,9 @@ class ExperimentConfig:
             template=template,
             M=_integral("M", doc.get("M", 1)),
             trials=_integral("trials", doc.get("trials", 1)),
-            sigma=float(doc.get("sigma", 1.0)),
+            sigma=float(_typed("sigma", doc.get("sigma", 1.0), numbers.Real, "a number")),
             master_seed=_integral("master_seed", doc.get("master_seed", 0)),
-            frequencies=tuple(doc.get("frequencies", ())),
+            frequencies=tuple(_typed("frequencies", doc.get("frequencies", []), list, "a list")),
             sweep=sweep,
             ck_trials=_integral("ck_trials", doc.get("ck_trials", 4000)),
         )
@@ -141,6 +157,16 @@ class TrialResult:
     phase_errors: np.ndarray  # wrapped, one entry per configured frequency
     magnitudes: np.ndarray
     pearson: float
+
+
+#: The per-frequency statistics, in the order ``summary.json`` lists them.
+STATS_COLUMNS = (
+    "phase_mse", "phase_mse_stderr", "mean_magnitude", "magnitude_stderr",
+    "predicted_mse_thm1", "predicted_mse_thm1_stderr", "predicted_mse_thm2",
+    "predicted_magnitude_thm1", "predicted_magnitude_thm2",
+)
+#: The columns of ``stats.csv`` after any sweep-axis column.
+CSV_COLUMNS = ("k", *STATS_COLUMNS, "mse_ratio_thm2")
 
 
 @dataclass(frozen=True)
@@ -171,25 +197,12 @@ class AggregateStats:
         return self.phase_mse / self.predicted_mse_thm2
 
     def rows(self) -> list[dict]:
-        """One dict per frequency (CSV-ready)."""
-        out = []
-        for i, k in enumerate(self.ks):
-            out.append(
-                {
-                    "k": int(k),
-                    "phase_mse": self.phase_mse[i],
-                    "phase_mse_stderr": self.phase_mse_stderr[i],
-                    "mean_magnitude": self.mean_magnitude[i],
-                    "magnitude_stderr": self.magnitude_stderr[i],
-                    "predicted_mse_thm1": self.predicted_mse_thm1[i],
-                    "predicted_mse_thm1_stderr": self.predicted_mse_thm1_stderr[i],
-                    "predicted_mse_thm2": self.predicted_mse_thm2[i],
-                    "predicted_magnitude_thm1": self.predicted_magnitude_thm1[i],
-                    "predicted_magnitude_thm2": self.predicted_magnitude_thm2[i],
-                    "mse_ratio_thm2": self.mse_ratio_thm2[i],
-                }
-            )
-        return out
+        """One dict per frequency, keyed by :data:`CSV_COLUMNS` (CSV-ready)."""
+        cols = [getattr(self, c) for c in CSV_COLUMNS[1:]]
+        return [
+            {"k": int(k), **{c: v[i] for c, v in zip(CSV_COLUMNS[1:], cols)}}
+            for i, k in enumerate(self.ks)
+        ]
 
     def summary(self) -> dict:
         return {
@@ -197,15 +210,7 @@ class AggregateStats:
             "mean_pearson": self.mean_pearson,
             "pearson_stderr": self.pearson_stderr,
             "frequencies": [int(k) for k in self.ks],
-            "phase_mse": self.phase_mse.tolist(),
-            "phase_mse_stderr": self.phase_mse_stderr.tolist(),
-            "mean_magnitude": self.mean_magnitude.tolist(),
-            "magnitude_stderr": self.magnitude_stderr.tolist(),
-            "predicted_mse_thm1": self.predicted_mse_thm1.tolist(),
-            "predicted_mse_thm1_stderr": self.predicted_mse_thm1_stderr.tolist(),
-            "predicted_mse_thm2": self.predicted_mse_thm2.tolist(),
-            "predicted_magnitude_thm1": self.predicted_magnitude_thm1.tolist(),
-            "predicted_magnitude_thm2": self.predicted_magnitude_thm2.tolist(),
+            **{c: getattr(self, c).tolist() for c in STATS_COLUMNS},
         }
 
 
@@ -376,8 +381,8 @@ def fit_loglog_slope(points: Sequence[tuple]) -> SlopeFit:
 def ks_statistic(samples) -> float:
     """Sup distance between the empirical CDF and the standard Gumbel CDF."""
     x = np.sort(np.asarray(samples, dtype=float))
-    if x.size < 100:
-        raise InsufficientDataError("ks_statistic needs at least 100 samples")
+    if x.size < KS_MIN_SAMPLES:
+        raise InsufficientDataError(f"ks_statistic needs at least {KS_MIN_SAMPLES} samples")
     ref = np.exp(-np.exp(-x))
     i = np.arange(1, x.size + 1)
     upper = np.max(i / x.size - ref)

@@ -69,18 +69,6 @@ class SpectralRepr:
         phases = np.where(mags == 0.0, 0.0, np.angle(z))
         return cls(mags, wrap_phase(phases))
 
-    def max_symmetry_defect(self) -> float:
-        """Largest violation of the real-signal conjugate symmetry.
-
-        For a real signal, magnitudes[k] == magnitudes[d-k] and
-        phases[k] == -phases[d-k] (mod 2*pi) for 1 <= k <= d-1.
-        """
-        k = np.arange(1, self.d)
-        dm = np.abs(self.magnitudes[k] - self.magnitudes[self.d - k])
-        dp = np.abs(wrap_phase(self.phases[k] + self.phases[self.d - k]))
-        dp = np.where(self.magnitudes[k] < 1e-15, 0.0, dp)
-        return float(max(dm.max(initial=0.0), dp.max(initial=0.0)))
-
 
 def dft(samples) -> SpectralRepr:
     """Unitary DFT of a real signal, in magnitude/phase form.
@@ -115,12 +103,12 @@ class TemplateSignal:
     ----------
     samples : array-like
         Real signal of even length d >= 2 with Euclidean norm 1 (to 1e-12).
-    floor : float
-        Relative non-vanishing floor: the template is flagged usable for
-        alignment only if min_{0<k} |X[k]| exceeds ``floor * max_k |X[k]|``.
+
+    The template is flagged usable for alignment only if min_{0<k} |X[k]|
+    exceeds ``NON_VANISHING_FLOOR * max_k |X[k]|``.
     """
 
-    def __init__(self, samples, *, floor: float = NON_VANISHING_FLOOR):
+    def __init__(self, samples):
         x = _readonly(samples)
         if x.ndim != 1 or x.size < 2:
             raise InvalidArgumentError("template must be a 1-d signal with d >= 2")
@@ -134,25 +122,24 @@ class TemplateSignal:
         self.samples = x
         self.d = x.size
         self.spectrum = dft(x)
-        self.floor = float(floor)
         mags = self.spectrum.magnitudes
-        self.non_vanishing = bool(mags[1:].min() > self.floor * mags.max())
+        self.non_vanishing = bool(mags[1:].min() > NON_VANISHING_FLOOR * mags.max())
 
     @classmethod
-    def normalized(cls, samples, *, floor: float = NON_VANISHING_FLOOR) -> "TemplateSignal":
+    def normalized(cls, samples) -> "TemplateSignal":
         """Build a template from arbitrary samples, rescaling to unit norm."""
         x = np.asarray(samples, dtype=float)
         nrm = np.linalg.norm(x)
         if nrm == 0.0 or not np.isfinite(nrm):
             raise InvalidArgumentError("cannot normalize a zero or non-finite signal")
-        return cls(x / nrm, floor=floor)
+        return cls(x / nrm)
 
     def require_alignable(self):
         """Raise RejectedTemplateError unless the spectrum clears the floor."""
         if not self.non_vanishing:
             raise RejectedTemplateError(
                 "template spectrum falls below the non-vanishing floor "
-                f"({self.floor:g} relative)"
+                f"({NON_VANISHING_FLOOR:g} relative)"
             )
 
     def require_bin(self, k: int):
@@ -161,7 +148,7 @@ class TemplateSignal:
         if not (0 <= k <= self.d - 1):
             raise InvalidArgumentError(f"frequency index {k} out of range for d={self.d}")
         mags = self.spectrum.magnitudes
-        if mags[k] <= self.floor * mags.max():
+        if mags[k] <= NON_VANISHING_FLOOR * mags.max():
             raise ExcludedBinError(
                 f"bin {k} excluded: template magnitude {mags[k]:.3e} is at or below the floor"
             )
@@ -265,80 +252,21 @@ def generate_template(spec: SignalFamilySpec) -> TemplateSignal:
     return TemplateSignal(_synthesize(mag, ph, d))
 
 
-def autocorrelation(template: TemplateSignal) -> np.ndarray:
-    """Circular autocorrelation R[l] = sum_i x_i x_{(i+l) mod d}.
-
-    Equals the inverse transform of the PSD; R[0] is the signal energy (1 for
-    a unit-norm template) and the sequence is even-symmetric in l.
-    """
-    spec_u = np.fft.rfft(template.samples)
-    return np.fft.irfft(np.abs(spec_u) ** 2, template.d)
-
-
-@dataclass(frozen=True)
-class Assumption1Diagnostic:
-    """Finite-d proxies for the high-dimensional template conditions.
-
-    tail_autocorrelation:
-        max over lags in [tail_lag_fraction*d, d/2] of |R[l]| * ln d (the
-        wrap-around half is mirrored by symmetry, so the band covers every
-        genuinely distant lag).  Small values mean fast correlation decay.
-    peak_magnitude:
-        max over 0<k<=d-1 of |X[k]| * sqrt(ln d).
-    dc_magnitude:
-        |X[0]|; the asymptotic theory wants it exactly 0.
-    """
-
-    tail_autocorrelation: float
-    peak_magnitude: float
-    dc_magnitude: float
-    tail_lag_fraction: float
-
-
-def check_assumption1(template: TemplateSignal, tail_lag_fraction: float = 0.25) -> Assumption1Diagnostic:
-    """Report the three finite-d diagnostics; no pass/fail verdict is given."""
-    if not (0.0 < tail_lag_fraction <= 1.0):
-        raise InvalidArgumentError("tail_lag_fraction must lie in (0, 1]")
-    d = template.d
-    logd = math.log(d)
-    r = autocorrelation(template)
-    lo = int(math.ceil(tail_lag_fraction * d))
-    lo = min(lo, d // 2)
-    tail = np.abs(r[lo : d // 2 + 1]).max() * logd if lo <= d // 2 else 0.0
-    mags = template.spectrum.magnitudes
-    return Assumption1Diagnostic(
-        tail_autocorrelation=float(tail),
-        peak_magnitude=float(mags[1:].max() * math.sqrt(logd)),
-        dc_magnitude=float(mags[0]),
-        tail_lag_fraction=tail_lag_fraction,
-    )
-
-
 # ---------------------------------------------------------------------------
-# Serialization: a common {d, samples, magnitudes, phases} record for signals.
+# Serialization: a {d, samples, magnitudes, phases} JSON record, or CSV samples.
 # ---------------------------------------------------------------------------
 
-def signal_record(samples, spectrum: Optional[SpectralRepr] = None) -> dict:
+def signal_to_json(samples) -> str:
+    """The signal's {d, samples, magnitudes, phases} record as indented JSON."""
     x = np.asarray(samples, dtype=float)
-    spec = spectrum if spectrum is not None else dft(x)
-    return {
+    spec = dft(x)
+    record = {
         "d": int(x.size),
         "samples": x.tolist(),
         "magnitudes": spec.magnitudes.tolist(),
         "phases": spec.phases.tolist(),
     }
-
-
-def signal_to_json(samples, spectrum: Optional[SpectralRepr] = None) -> str:
-    return json.dumps(signal_record(samples, spectrum), indent=2)
-
-
-def signal_from_json(text: str) -> np.ndarray:
-    rec = json.loads(text)
-    x = np.asarray(rec["samples"], dtype=float)
-    if x.size != rec["d"]:
-        raise InvalidArgumentError("JSON record length disagrees with its d field")
-    return x
+    return json.dumps(record, indent=2)
 
 
 def signal_to_csv(samples) -> str:
@@ -350,9 +278,3 @@ def signal_to_csv(samples) -> str:
         w.writerow([repr(float(v))])
     return buf.getvalue()
 
-
-def signal_from_csv(text: str) -> np.ndarray:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["sample"]:
-        raise InvalidArgumentError("signal CSV must start with a 'sample' header")
-    return np.asarray([float(r[0]) for r in rows[1:]], dtype=float)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .alignment import align_rows, chunks
 from .errors import InvalidArgumentError
@@ -150,23 +149,6 @@ def softmax_expectation(f, mean) -> float:
     return float((f * e).sum() / e.sum())
 
 
-def m_star(mean, f, alpha: float) -> float:
-    """Tilted log-mean-exp of the shifted means:
-    a_d^{-1} * ln( d^{-1} * sum_i e^{a_d (mean_i + alpha f_i)} ).
-
-    Its derivative in alpha at 0 equals :func:`softmax_expectation`.
-    """
-    mu = np.asarray(mean, dtype=float)
-    fv = np.asarray(f, dtype=float)
-    if mu.shape != fv.shape or mu.ndim != 1 or mu.size < 2:
-        raise InvalidArgumentError("mean and f must be equal-length 1-d sequences with d >= 2")
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(fv)) and np.isfinite(alpha)):
-        raise InvalidArgumentError("m_star requires finite inputs")
-    d = mu.size
-    a_d = math.sqrt(2.0 * math.log(d))
-    return float((logsumexp(a_d * (mu + alpha * fv)) - math.log(d)) / a_d)
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo alignment moments and the phase-rate constant
 # ---------------------------------------------------------------------------
@@ -184,9 +166,7 @@ class AlignmentMoments:
     second_moment_a: np.ndarray
     trials: int
     # raw sums retained for delta-method error propagation
-    _sum_a2: np.ndarray
     _sum_a4: np.ndarray
-    _sum_b: np.ndarray
     _sum_b2: np.ndarray
     _sum_a2b: np.ndarray
 
@@ -253,9 +233,7 @@ def alignment_moments(
         mu_b_stderr=np.sqrt(var_b / n),
         second_moment_a=sum_a2 / n,
         trials=trials,
-        _sum_a2=sum_a2,
         _sum_a4=sum_a4,
-        _sum_b=sum_b,
         _sum_b2=sum_b2,
         _sum_a2b=sum_a2b,
     )

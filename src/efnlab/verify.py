@@ -13,7 +13,7 @@ import numpy as np
 
 from .alignment import chunks, correlation_oracle, correlation_sequence, fourier_correlation_sequence
 from .errors import InsufficientDataError, InvalidArgumentError
-from .experiment import ks_statistic
+from .experiment import KS_MIN_SAMPLES, ks_statistic
 from .signals import (
     SignalFamilySpec,
     TemplateSignal,
@@ -293,6 +293,15 @@ SUITES = {
     "lemma1": lemma1_suite,
 }
 
+#: Smallest value each suite accepts for each count override it takes.
+MIN_COUNTS = {
+    "alignment": {"cases": 1},
+    "symmetry": {"draws": 1},
+    "gumbel": {"replicates": KS_MIN_SAMPLES},
+    "prop3": {"draws": 1},
+    "lemma1": {"draws": LEMMA1_MIN_DRAWS},
+}
+
 
 def _accepted(fn, overrides: dict) -> dict:
     import inspect
@@ -309,9 +318,11 @@ def run_suite(name: str, **overrides) -> list[CheckRow]:
     if name != "all" and name not in SUITES:
         raise InvalidArgumentError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     names = list(SUITES) if name == "all" else [name]
-    draws = overrides.get("draws")
-    if "lemma1" in names and draws is not None and draws < LEMMA1_MIN_DRAWS:
-        raise InvalidArgumentError(f"lemma1 needs --draws >= {LEMMA1_MIN_DRAWS}, got {draws}")
+    for suite in names:
+        for key, least in MIN_COUNTS[suite].items():
+            given = overrides.get(key)
+            if given is not None and given < least:
+                raise InvalidArgumentError(f"{suite} needs --{key} >= {least}, got {given}")
     rows = []
     for suite in names:
         fn = SUITES[suite]

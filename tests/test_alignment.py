@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import efnlab as E
+from efnlab import alignment
 from efnlab.errors import LengthMismatchError, RejectedTemplateError
 
 
@@ -48,25 +49,30 @@ class TestCorrelationSequence:
                 fn(bad, t)
 
 
+def shifts_of(rows, t):
+    """Argmax lags of ``rows`` (one row or a block) through the production kernel."""
+    return alignment.align_rows(np.atleast_2d(np.asarray(rows, dtype=float)), t)[0]
+
+
 class TestEstimateShift:
+    """Shift estimation: the argmax lag of each row that align_rows returns."""
+
     def test_noise_argmax_example(self):
         t = E.generate_template(E.SignalFamilySpec(family="delta", d=4))
-        res = E.estimate_shift(np.array([0.5, -1.0, 2.0, 0.3]), t)
-        assert res.shift == 2
-        assert res.peak_value == pytest.approx(2.0, abs=1e-12)
+        shifts, corr, _ = alignment.align_rows(np.array([[0.5, -1.0, 2.0, 0.3]]), t)
+        assert shifts[0] == 2
+        assert corr[0, shifts[0]] == pytest.approx(2.0, abs=1e-12)
 
     def test_noiseless_planted_shift(self):
         t = plaw(64, beta=2.0)
-        res = E.estimate_shift(E.circular_shift(t.samples, 5), t)
-        assert res.shift == 5
+        assert shifts_of(E.circular_shift(t.samples, 5), t)[0] == 5
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(7)
         t = plaw(32)
-        for _ in range(300):
-            n = rng.standard_normal(32)
-            c = float(rng.uniform(0.01, 100.0))
-            assert E.estimate_shift(n, t).shift == E.estimate_shift(c * n, t).shift
+        n = rng.standard_normal((300, 32))
+        c = rng.uniform(0.01, 100.0, (300, 1))
+        np.testing.assert_array_equal(shifts_of(n, t), shifts_of(c * n, t))
 
     def test_shift_equivariance(self):
         rng = np.random.default_rng(17)
@@ -74,26 +80,42 @@ class TestEstimateShift:
         for _ in range(100):
             n = rng.standard_normal(48)
             s = int(rng.integers(0, 48))
-            base = E.estimate_shift(n, t).shift
-            moved = E.estimate_shift(E.circular_shift(n, s), t).shift
+            base = shifts_of(n, t)[0]
+            moved = shifts_of(E.circular_shift(n, s), t)[0]
             assert moved == (base + s) % 48
 
     def test_tie_break_smallest_index(self):
         t = E.generate_template(E.SignalFamilySpec(family="delta", d=4))
-        res = E.estimate_shift(np.array([1.0, 1.0, 0.0, 0.0]), t)
-        assert res.shift == 0
+        assert shifts_of([1.0, 1.0, 0.0, 0.0], t)[0] == 0
 
     def test_degenerate_flat_sequence(self):
         t = E.generate_template(E.SignalFamilySpec(family="delta", d=8))
-        res = E.estimate_shift(np.zeros(8), t)
-        assert res.degenerate and res.shift == 0
+        shifts, corr, _ = alignment.align_rows(np.zeros((1, 8)), t)
+        assert np.all(corr == corr[0, 0]) and shifts[0] == 0
 
     def test_vanishing_template_rejected(self):
         # all energy at DC: every non-DC magnitude is below the floor
         t = E.TemplateSignal(np.full(8, 1.0 / np.sqrt(8.0)))
         assert not t.non_vanishing
         with pytest.raises(RejectedTemplateError):
-            E.estimate_shift(np.zeros(8), t)
+            t.require_alignable()
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9])
+    def test_near_tie_argmax_matches_oracle(self, gap):
+        # rows whose correlation sequence has two peaks a relative ``gap``
+        # apart: the FFT argmax and the direct-sum argmax both pick the higher
+        rng = np.random.default_rng(29)
+        d = 64
+        t = plaw(d, beta=0.5)  # DC kept, so every bin can be divided out
+        x_conj = np.conj(np.fft.rfft(t.samples))
+        for _ in range(50):
+            high, low = rng.choice(d, size=2, replace=False)
+            target = rng.uniform(-0.5, 0.5, d)
+            target[high], target[low] = 1.0, 1.0 - gap
+            row = np.fft.irfft(np.fft.rfft(target) / x_conj, d)
+            oracle = int(np.argmax(E.correlation_oracle(row, t)))
+            assert oracle == high
+            assert shifts_of(row, t)[0] == oracle
 
 
 class TestFourierRoute:

@@ -120,6 +120,19 @@ class TestRun:
         assert "must be an integer" in capsys.readouterr().err
         assert not (out / "stats.csv").exists()
 
+    def test_wrong_type_field_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", sigma="abc")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "sigma must be a number" in capsys.readouterr().err
+        assert not (out / "stats.csv").exists()
+
+    def test_non_object_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert main(["run", "--config", str(cfg), "--seed", "3"]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
     def test_sweep_config(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", sweep={"axis": "M", "values": [10, 20]})
         out = tmp_path / "o"
@@ -163,6 +176,24 @@ class TestVerify:
         assert main(["verify", suite, "--draws", "1000"]) == 2
         captured = capsys.readouterr()
         assert "100000" in captured.err
+        assert captured.out == ""  # rejected before any suite ran
+
+    @pytest.mark.parametrize(
+        "argv, needs",
+        [
+            (["alignment", "--cases", "0"], "--cases >= 1"),
+            (["alignment", "--cases", "-3"], "--cases >= 1"),
+            (["all", "--cases", "0"], "--cases >= 1"),
+            (["gumbel", "--replicates", "50"], "--replicates >= 100"),
+            (["gumbel", "--replicates", "0"], "--replicates >= 100"),
+            (["prop3", "--draws", "0"], "--draws >= 1"),
+            (["prop3", "--draws", "-5"], "--draws >= 1"),
+        ],
+    )
+    def test_count_below_suite_minimum_is_usage_error(self, capsys, argv, needs):
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert needs in captured.err
         assert captured.out == ""  # rejected before any suite ran
 
     def test_lemma1_suite_quick(self, capsys):

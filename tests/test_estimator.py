@@ -1,5 +1,6 @@
 """The running aligned sum, phase metrics, Pearson correlation."""
 
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ import efnlab as E
 from efnlab import alignment, experiment
 from efnlab.errors import (
     ExcludedBinError,
-    InsufficientDataError,
     InvalidArgumentError,
     LengthMismatchError,
     UndefinedCorrelationError,
@@ -88,7 +88,7 @@ class TestAccumulator:
         phasors = np.zeros(64, dtype=complex)
         k = np.arange(64)
         for n in E.observation_rng(5, 0).standard_normal((cfg.M, 64)):
-            r = E.estimate_shift(n, t).shift
+            r = int(np.argmax(E.correlation_oracle(n, t)))
             spec = E.dft(n)
             phasors += spec.magnitudes * np.exp(1j * (spec.phases + 2.0 * np.pi * k * r / 64))
         phasors /= cfg.M
@@ -97,70 +97,85 @@ class TestAccumulator:
         assert np.abs(direct - phasors).max() <= 1e-9
 
 
-class TestPhaseError:
-    def test_identity_is_zero(self):
-        t = plaw(16, zero_dc=False)
-        est = E.EfnEstimate.from_samples(t.samples, 1)
-        for k in range(16):
-            assert E.phase_error(est, t, k) == pytest.approx(0.0, abs=1e-12)
+def one_row_trial(monkeypatch, spec, row, ks):
+    """run_trial on the one observation ``row``, measured at bins ``ks``."""
+    monkeypatch.setattr(experiment, "observation_rng", lambda *key: _RepeatedRow(row))
+    return E.run_trial(E.ExperimentConfig(template=spec, M=1, trials=1, frequencies=ks), 0)
 
-    def test_wrapping_rule(self):
+
+def plaw_spec(d, zero_dc=False):
+    return E.SignalFamilySpec(family="power-law-psd", d=d, beta=1.0, phase_seed=1, zero_dc=zero_dc)
+
+
+class TestPhaseError:
+    """The wrapped per-bin phase errors that run_trial reports."""
+
+    def test_identity_is_zero(self, monkeypatch):
+        spec = plaw_spec(16)
+        res = one_row_trial(monkeypatch, spec, E.generate_template(spec).samples, tuple(range(16)))
+        np.testing.assert_allclose(res.phase_errors, 0.0, rtol=0, atol=1e-12)
+
+    def test_wrapping_rule(self, monkeypatch):
         # bump one conjugate bin pair by 1.9*pi: the wrapped error is -0.1*pi
-        t = plaw(8, zero_dc=False)
-        z = t.spectrum.to_complex()
+        spec = plaw_spec(8)
+        z = E.generate_template(spec).spectrum.to_complex()
         bump = 1.9 * np.pi
         z[1] *= np.exp(1j * bump)
         z[7] *= np.exp(-1j * bump)
-        est = E.EfnEstimate.from_samples(E.idft(E.SpectralRepr.from_complex(z)), 1)
-        assert E.phase_error(est, t, 1) == pytest.approx(-0.1 * np.pi, abs=1e-9)
+        res = one_row_trial(monkeypatch, spec, E.idft(E.SpectralRepr.from_complex(z)), (1,))
+        assert res.phase_errors[0] == pytest.approx(-0.1 * np.pi, abs=1e-9)
 
-    def test_matches_complex_ratio_oracle(self):
+    def test_matches_complex_ratio_oracle(self, monkeypatch):
         rng = np.random.default_rng(14)
-        t = plaw(16, zero_dc=False)
+        spec = plaw_spec(16)
+        t = E.generate_template(spec)
         for _ in range(100):
             y = rng.standard_normal(16)
-            est = E.EfnEstimate.from_samples(y, 1)
-            for k in (1, 5, 7):
-                zhat = est.spectrum.to_complex()[k]
-                z = t.spectrum.to_complex()[k]
-                oracle = float(np.angle(zhat / z))
-                assert E.phase_error(est, t, k) == pytest.approx(oracle, abs=1e-12)
+            res = one_row_trial(monkeypatch, spec, y, (1, 5, 7))
+            aligned = E.circular_shift(y, -int(np.argmax(E.correlation_oracle(y, t))))
+            zhat = E.dft(aligned).to_complex()[[1, 5, 7]]
+            z = t.spectrum.to_complex()[[1, 5, 7]]
+            np.testing.assert_allclose(res.phase_errors, np.angle(zhat / z), rtol=0, atol=1e-12)
 
-    def test_excluded_bins(self):
-        t = plaw(16, zero_dc=True)  # DC magnitude is zero
-        est = E.EfnEstimate.from_samples(np.eye(16)[0], 1)
+    def test_excluded_bins(self, monkeypatch):
+        spec = plaw_spec(16, zero_dc=True)  # DC magnitude is zero
         with pytest.raises(ExcludedBinError):
-            E.phase_error(est, t, 0)
+            one_row_trial(monkeypatch, spec, np.eye(16)[0], (0,))
         with pytest.raises(InvalidArgumentError):
-            E.phase_error(est, t, 16)
+            one_row_trial(monkeypatch, spec, np.eye(16)[0], (16,))
+
+
+def trial_results(errors):
+    """TrialResults at one bin whose wrapped phase errors are ``errors``."""
+    return [
+        experiment.TrialResult(i, np.array([e]), np.ones(1), 0.5 + 0.01 * i)
+        for i, e in enumerate(errors)
+    ]
 
 
 class TestPhaseMse:
+    """The phase MSE and its standard error that aggregate_trials reports."""
+
+    def config(self, d, k):
+        return E.ExperimentConfig(
+            template=plaw_spec(d), M=1, trials=1, frequencies=(k,), ck_trials=1000
+        )
+
     def test_zero_for_identical_trials(self):
-        t = plaw(8, zero_dc=False)
-        ests = [E.EfnEstimate.from_samples(t.samples, 1) for _ in range(5)]
-        res = E.phase_mse(ests, t, 2)
-        assert res.mse == pytest.approx(0.0, abs=1e-20)
+        stats = E.aggregate_trials(self.config(8, 2), trial_results([0.0] * 5))
+        assert stats.phase_mse[0] == 0.0
 
     def test_uniform_phases_give_pi2_over_3(self):
         # no alignment information: error uniform on (-pi, pi], MSE -> pi^2/3
-        rng = np.random.default_rng(77)
-        t = plaw(4, zero_dc=False)
-        base = t.spectrum.to_complex()
-        ests = []
-        for _ in range(10_000):
-            z = base.copy()
-            phi = rng.uniform(-np.pi, np.pi)
-            z[1] *= np.exp(1j * phi)
-            z[3] *= np.exp(-1j * phi)
-            ests.append(E.EfnEstimate.from_samples(E.idft(E.SpectralRepr.from_complex(z)), 1))
-        res = E.phase_mse(ests, t, 1)
-        assert abs(res.mse - math.pi**2 / 3.0) <= 3.0 * res.stderr
+        errors = E.wrap_phase(np.random.default_rng(77).uniform(-np.pi, np.pi, 10_000))
+        stats = E.aggregate_trials(self.config(4, 1), trial_results(errors))
+        assert abs(stats.phase_mse[0] - math.pi**2 / 3.0) <= 3.0 * stats.phase_mse_stderr[0]
 
     def test_needs_two_trials(self):
-        t = plaw(8, zero_dc=False)
-        with pytest.raises(InsufficientDataError):
-            E.phase_mse([E.EfnEstimate.from_samples(t.samples, 1)], t, 1)
+        # one trial gives an MSE but no standard error
+        stats = E.aggregate_trials(self.config(8, 1), trial_results([0.3]))
+        assert stats.phase_mse[0] == pytest.approx(0.09, abs=1e-15)
+        assert math.isnan(stats.phase_mse_stderr[0])
 
 
 class TestPearson:
@@ -190,7 +205,10 @@ class TestEstimateSerialization:
     def test_shares_the_signal_schema(self):
         t = plaw(16, zero_dc=False)
         est = E.EfnEstimate.from_samples(t.samples, 3)
-        text = E.signal_to_json(est.samples, est.spectrum)
-        np.testing.assert_array_equal(E.signal_from_json(text), est.samples)
-        csv_text = E.signal_to_csv(est.samples)
-        np.testing.assert_array_equal(E.signal_from_csv(csv_text), est.samples)
+        rec = json.loads(E.signal_to_json(est.samples))
+        np.testing.assert_array_equal(rec["samples"], est.samples)
+        np.testing.assert_array_equal(rec["magnitudes"], est.spectrum.magnitudes)
+        np.testing.assert_array_equal(rec["phases"], est.spectrum.phases)
+        csv_rows = E.signal_to_csv(est.samples).splitlines()
+        assert csv_rows[0] == "sample"
+        np.testing.assert_array_equal([float(v) for v in csv_rows[1:]], est.samples)

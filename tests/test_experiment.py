@@ -95,7 +95,7 @@ class TestRunTrial:
         res = E.run_trial(cfg, 4)
         template = E.generate_template(cfg.template)
         noise = E.observation_rng(cfg.master_seed, 4).standard_normal((1, 64))[0]
-        shift = E.estimate_shift(noise, template).shift
+        shift = int(np.argmax(E.correlation_oracle(noise, template)))
         manual = E.EfnEstimate.from_samples(E.circular_shift(noise, -shift), 1)
         ks = np.asarray(cfg.frequencies)
         np.testing.assert_allclose(res.magnitudes, manual.spectrum.magnitudes[ks], atol=1e-12)
@@ -252,6 +252,26 @@ class TestConfigValidation:
             E.ExperimentConfig.from_dict(doc)
         doc[field] = whole.tolist()  # a whole float is still accepted
         assert E.ExperimentConfig.from_dict(doc) == cfg
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("frequencies", 5),
+            ("frequencies", [1, True]),
+            ("sigma", "abc"),
+            ("sigma", None),
+            ("template", 5),
+            ("sweep", 5),
+            ("sweep", {"axis": "M"}),
+            ("sweep", {"axis": "beta", "values": ["a", "b"]}),
+            ("template", {"family": "explicit-samples", "d": 4, "samples": 5}),
+            ("trials", True),
+        ],
+    )
+    def test_from_dict_rejects_wrong_types(self, field, value):
+        doc = {**small_config().to_dict(), field: value}
+        with pytest.raises(InvalidArgumentError, match=field):
+            E.ExperimentConfig.from_dict(doc)
 
     @pytest.mark.parametrize("axis", ["M", "d"])
     def test_sweep_rejects_non_integral_values(self, axis):

@@ -166,24 +166,21 @@ class TestSoftmaxExpectation:
             E.softmax_expectation(np.zeros(3), np.zeros(4))
 
 
+def m_star(mean, f, alpha):
+    """Tilted log-mean-exp a_d^{-1} ln(d^{-1} sum_i e^{a_d (mean_i + alpha f_i)})."""
+    a_d = math.sqrt(2.0 * math.log(mean.size))
+    return (np.logaddexp.reduce(a_d * (mean + alpha * f)) - math.log(mean.size)) / a_d
+
+
 class TestMStar:
-    def test_zero_mean_zero_alpha(self):
-        assert E.m_star(np.zeros(16), np.ones(16), 0.0) == pytest.approx(0.0, abs=1e-14)
-
-    def test_constant_f_shifts_linearly(self):
-        rng = np.random.default_rng(9)
-        mu = rng.standard_normal(32)
-        c, alpha = 2.7, 0.3
-        delta_m = E.m_star(mu, np.full(32, c), alpha) - E.m_star(mu, np.full(32, c), 0.0)
-        assert delta_m == pytest.approx(alpha * c, abs=1e-12)
-
     def test_derivative_identity(self):
+        # the softmax expectation is the alpha-derivative of m_star at 0
         rng = np.random.default_rng(10)
         d = 256
         mu = rng.standard_normal(d) * 0.3
         f = rng.standard_normal(d)
         h = 1e-5
-        fd = (E.m_star(mu, f, h) - E.m_star(mu, f, -h)) / (2.0 * h)
+        fd = (m_star(mu, f, h) - m_star(mu, f, -h)) / (2.0 * h)
         assert abs(fd - E.softmax_expectation(f, mu)) <= 1e-6
 
 
