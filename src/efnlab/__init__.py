@@ -24,12 +24,9 @@ from .estimator import EfnEstimate, pearson_correlation
 from .experiment import (
     AggregateStats,
     ExperimentConfig,
-    SlopeFit,
     SweepSpec,
     TrialResult,
     aggregate_trials,
-    fit_loglog_slope,
-    ks_statistic,
     observation_rng,
     run_experiment,
     run_sweep,
@@ -50,7 +47,6 @@ from .signals import (
 )
 from .theory import (
     AlignmentMoments,
-    CkEstimate,
     ConditionalGaussian,
     GumbelConstants,
     alignment_moments,
@@ -62,6 +58,6 @@ from .theory import (
     sample_cyclostationary,
     softmax_expectation,
 )
-from .verify import Lemma1Report, lemma1_check
+from .verify import Lemma1Report, ks_statistic, lemma1_check
 
 __version__ = "0.1.0"

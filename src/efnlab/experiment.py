@@ -19,7 +19,7 @@ import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,9 +34,6 @@ from .theory import estimate_ck_profile, predict_magnitude, predict_phase_mse
 _CK_SEED_LANE = 0x5EED
 
 SWEEP_AXES = ("M", "d", "beta", "pad-ratio")
-
-#: Fewest samples :func:`ks_statistic` accepts.
-KS_MIN_SAMPLES = 100
 
 
 def _typed(field: str, value, kind, name: str):
@@ -123,7 +120,10 @@ class ExperimentConfig:
             raise InvalidArgumentError("config missing required field 'template'")
         tdoc = dict(_typed("template", doc["template"], dict, "an object"))
         if tdoc.get("samples") is not None:
-            tdoc["samples"] = tuple(_typed("template.samples", tdoc["samples"], list, "a list"))
+            samples = _typed("template.samples", tdoc["samples"], list, "a list")
+            tdoc["samples"] = tuple(
+                _typed("template.samples", v, numbers.Real, "a number") for v in samples
+            )
         try:
             template = SignalFamilySpec(**tdoc)
         except TypeError as e:
@@ -289,9 +289,9 @@ def aggregate_trials(config: ExperimentConfig, results: Sequence[TrialResult]) -
         profile = estimate_ck_profile(
             template, config.ck_trials, ck_seed, sigma=config.sigma, ks=ks
         )
-        pred1 = np.asarray([est.ck / config.M for est in profile])
-        pred1_se = np.asarray([est.stderr / config.M for est in profile])
-        pred1_mag = np.asarray([est.mu_b for est in profile])
+        pred1 = profile.ck / config.M
+        pred1_se = profile.ck_stderr / config.M
+        pred1_mag = profile.mu_b
         pred2 = np.asarray([predict_phase_mse(template, int(k), config.M) for k in ks])
         pred2_mag = np.asarray([predict_magnitude(template, int(k)) for k in ks])
     else:
@@ -354,37 +354,3 @@ def sweep_configs(config: ExperimentConfig) -> list[tuple[float, ExperimentConfi
 
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[tuple[float, AggregateStats]]:
     return [(v, run_experiment(c, workers=workers)) for v, c in sweep_configs(config)]
-
-
-class SlopeFit(NamedTuple):
-    slope: float
-    intercept: float
-    r2: float
-
-
-def fit_loglog_slope(points: Sequence[tuple]) -> SlopeFit:
-    """Least-squares line through (ln x, ln y)."""
-    pts = [(float(x), float(y)) for x, y in points]
-    if len(pts) < 3:
-        raise InvalidArgumentError("fit_loglog_slope needs at least 3 points")
-    if any(x <= 0 or y <= 0 for x, y in pts):
-        raise InvalidArgumentError("fit_loglog_slope requires strictly positive coordinates")
-    lx = np.log([p[0] for p in pts])
-    ly = np.log([p[1] for p in pts])
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    sstot = float(((ly - ly.mean()) ** 2).sum())
-    r2 = 1.0 - float((resid**2).sum()) / sstot if sstot > 0 else 1.0
-    return SlopeFit(float(slope), float(intercept), r2)
-
-
-def ks_statistic(samples) -> float:
-    """Sup distance between the empirical CDF and the standard Gumbel CDF."""
-    x = np.sort(np.asarray(samples, dtype=float))
-    if x.size < KS_MIN_SAMPLES:
-        raise InsufficientDataError(f"ks_statistic needs at least {KS_MIN_SAMPLES} samples")
-    ref = np.exp(-np.exp(-x))
-    i = np.arange(1, x.size + 1)
-    upper = np.max(i / x.size - ref)
-    lower = np.max(ref - (i - 1) / x.size)
-    return float(max(upper, lower))

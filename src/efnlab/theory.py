@@ -156,19 +156,17 @@ def softmax_expectation(f, mean) -> float:
 @dataclass(frozen=True)
 class AlignmentMoments:
     """Per-frequency moments of a = |N[k]| sin(phi_e[k]), b = |N[k]| cos(phi_e[k])
-    over fresh single-observation alignments, at the requested frequencies."""
+    over fresh single-observation alignments, at the requested frequencies,
+    and the phase-rate constant C_k = E[a^2] / E[b]^2 with its standard error."""
 
     ks: np.ndarray
     mu_a: np.ndarray
     mu_a_stderr: np.ndarray
     mu_b: np.ndarray
     mu_b_stderr: np.ndarray
-    second_moment_a: np.ndarray
+    ck: np.ndarray
+    ck_stderr: np.ndarray
     trials: int
-    # raw sums retained for delta-method error propagation
-    _sum_a4: np.ndarray
-    _sum_b2: np.ndarray
-    _sum_a2b: np.ndarray
 
 
 def alignment_moments(
@@ -223,73 +221,42 @@ def alignment_moments(
     n = float(trials)
     mu_a = sum_a / n
     mu_b = sum_b / n
-    var_a = np.maximum(sum_a2 / n - mu_a**2, 0.0)
+    m2a = sum_a2 / n
+    var_a = np.maximum(m2a - mu_a**2, 0.0)
     var_b = np.maximum(sum_b2 / n - mu_b**2, 0.0)
+    # C_k = m2a / mu_b^2; its variance by the delta method, from the
+    # variances of m2a and mu_b and their covariance
+    var_m2a = np.maximum(sum_a4 / n - m2a**2, 0.0) / n
+    cov = (sum_a2b / n - m2a * mu_b) / n
+    g1 = 1.0 / mu_b**2
+    g2 = -2.0 * m2a / mu_b**3
+    var_ck = g1 * g1 * var_m2a + g2 * g2 * (var_b / n) + 2.0 * g1 * g2 * cov
     return AlignmentMoments(
         ks=kset,
         mu_a=mu_a,
         mu_a_stderr=np.sqrt(var_a / n),
         mu_b=mu_b,
         mu_b_stderr=np.sqrt(var_b / n),
-        second_moment_a=sum_a2 / n,
+        ck=m2a / mu_b**2,
+        ck_stderr=np.sqrt(np.maximum(var_ck, 0.0)),
         trials=trials,
-        _sum_a4=sum_a4,
-        _sum_b2=sum_b2,
-        _sum_a2b=sum_a2b,
-    )
-
-
-@dataclass(frozen=True)
-class CkEstimate:
-    """Monte-Carlo estimate of the per-frequency phase-rate constant
-    C_k = E[(|N[k]| sin phi_e)^2] / (E[|N[k]| cos phi_e])^2."""
-
-    ck: float
-    stderr: float
-    mu_a: float
-    mu_a_stderr: float
-    mu_b: float
-    mu_b_stderr: float
-    trials: int
-
-
-def _ck_from_moments(m: AlignmentMoments, idx: int) -> CkEstimate:
-    n = float(m.trials)
-    m2a = m.second_moment_a[idx]
-    mb = m.mu_b[idx]
-    var_m2a = max(m._sum_a4[idx] / n - m2a**2, 0.0) / n
-    var_mb = max(m._sum_b2[idx] / n - mb**2, 0.0) / n
-    cov = (m._sum_a2b[idx] / n - m2a * mb) / n
-    ck = m2a / mb**2
-    # delta method for the ratio m2a / mb^2
-    g1 = 1.0 / mb**2
-    g2 = -2.0 * m2a / mb**3
-    var_ck = g1 * g1 * var_m2a + g2 * g2 * var_mb + 2.0 * g1 * g2 * cov
-    return CkEstimate(
-        ck=float(ck),
-        stderr=float(math.sqrt(max(var_ck, 0.0))),
-        mu_a=float(m.mu_a[idx]),
-        mu_a_stderr=float(m.mu_a_stderr[idx]),
-        mu_b=float(mb),
-        mu_b_stderr=float(m.mu_b_stderr[idx]),
-        trials=m.trials,
     )
 
 
 def estimate_ck_profile(
     template: TemplateSignal, trials: int, seed, *, sigma: float = 1.0,
     ks: Optional[Sequence[int]] = None,
-) -> list[CkEstimate]:
-    """C_k estimates at several frequencies from one shared Monte-Carlo pass.
+) -> AlignmentMoments:
+    """The alignment moments and C_k at several frequencies, from at least
+    1000 draws.
 
-    The numerator is the plain second moment of the sine term: its mean is 0
-    by the sign-flip symmetry of the argmax, so the second moment equals the
-    variance the limit theorem wants.
+    The numerator of C_k is the plain second moment of the sine term: its
+    mean is 0 by the sign-flip symmetry of the argmax, so the second moment
+    equals the variance the limit theorem wants.
     """
     if trials < 1000:
         raise InvalidArgumentError("estimate_ck_profile needs at least 1000 trials")
-    moments = alignment_moments(template, trials, seed, sigma=sigma, ks=ks)
-    return [_ck_from_moments(moments, i) for i in range(moments.ks.size)]
+    return alignment_moments(template, trials, seed, sigma=sigma, ks=ks)
 
 
 # ---------------------------------------------------------------------------

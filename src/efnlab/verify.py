@@ -13,7 +13,6 @@ import numpy as np
 
 from .alignment import chunks, correlation_oracle, correlation_sequence, fourier_correlation_sequence
 from .errors import InsufficientDataError, InvalidArgumentError
-from .experiment import KS_MIN_SAMPLES, ks_statistic
 from .signals import (
     SignalFamilySpec,
     TemplateSignal,
@@ -37,6 +36,9 @@ Z99 = 2.3263478740408408
 #: Fewest draws :func:`lemma1_check` accepts.
 LEMMA1_MIN_DRAWS = 100_000
 
+#: Fewest samples :func:`ks_statistic` accepts.
+KS_MIN_SAMPLES = 100
+
 
 @dataclass(frozen=True)
 class CheckRow:
@@ -47,10 +49,11 @@ class CheckRow:
 
     @property
     def passed(self) -> bool:
+        """False for a non-finite measurement, whatever the comparator."""
         if self.comparator == "<=":
-            return self.measured <= self.threshold
+            return math.isfinite(self.measured) and self.measured <= self.threshold
         if self.comparator == ">=":
-            return self.measured >= self.threshold
+            return math.isfinite(self.measured) and self.measured >= self.threshold
         raise InvalidArgumentError(f"bad comparator {self.comparator!r}")
 
     def format(self) -> str:
@@ -139,6 +142,18 @@ def symmetry_suite(draws: int = 100_000, d: int = 64, seed=202) -> list[CheckRow
             rows.append(CheckRow(f"mu_A zero ({name}, k={k}) |z|", float(za), 3.0, "<="))
             rows.append(CheckRow(f"mu_B positive ({name}, k={k}) z", float(zb), Z99, ">="))
     return rows
+
+
+def ks_statistic(samples) -> float:
+    """Sup distance between the empirical CDF and the standard Gumbel CDF."""
+    x = np.sort(np.asarray(samples, dtype=float))
+    if x.size < KS_MIN_SAMPLES:
+        raise InsufficientDataError(f"ks_statistic needs at least {KS_MIN_SAMPLES} samples")
+    ref = np.exp(-np.exp(-x))
+    i = np.arange(1, x.size + 1)
+    upper = np.max(i / x.size - ref)
+    lower = np.max(ref - (i - 1) / x.size)
+    return float(max(upper, lower))
 
 
 def gumbel_suite(d: int = 4096, replicates: int = 10_000, seed=0) -> list[CheckRow]:

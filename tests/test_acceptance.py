@@ -126,8 +126,8 @@ def test_criterion_1_phase_mse_inverse_in_m(m_sweep_beta1):
     in_band = 0
     slopes = []
     for i in range(ks.size):
-        pts = [(M, stats.phase_mse[i]) for M, stats in results]
-        slope = E.fit_loglog_slope(pts).slope
+        mse = [stats.phase_mse[i] for _, stats in results]
+        slope = float(np.polyfit(np.log(ms), np.log(mse), 1)[0])
         slopes.append(slope)
         in_band += int(-1.15 <= slope <= -0.85)
     frac = in_band / ks.size

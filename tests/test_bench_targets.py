@@ -8,6 +8,7 @@ such a rename into a failure.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,26 @@ TARGETS = _load_spans().TARGETS
 )
 def test_target_exists(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr, None))
+
+
+@pytest.mark.parametrize(
+    "module_name, attr, counter",
+    [(t[0], t[1], t[3]) for t in TARGETS if t[3] is not None],
+    ids=[f"{t[0]}.{t[1]}" for t in TARGETS if t[3] is not None],
+)
+def test_work_counter_binds_required_parameters(module_name, attr, counter):
+    # the wrapper passes the target's own arguments to its work counter, so a
+    # required parameter the counter cannot take breaks only the traced run
+    params = inspect.signature(getattr(importlib.import_module(module_name), attr)).parameters
+    required = [
+        p for p in params.values()
+        if p.default is p.empty and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
+    ]
+    positional = [p.name for p in required if p.kind is not p.KEYWORD_ONLY]
+    keywords = {p.name: p.name for p in required if p.kind is p.KEYWORD_ONLY}
+    counted = inspect.signature(counter)
+    counted.bind(*positional, **keywords)
+    counted.bind(**{p.name: p.name for p in required if p.kind is not p.POSITIONAL_ONLY})
 
 
 def test_from_samples_is_a_classmethod():

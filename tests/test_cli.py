@@ -127,6 +127,14 @@ class TestRun:
         assert "sigma must be a number" in capsys.readouterr().err
         assert not (out / "stats.csv").exists()
 
+    def test_non_number_explicit_sample_is_usage_error(self, tmp_path, capsys):
+        template = {"family": "explicit-samples", "d": 4, "samples": ["a", 1, 2, 3]}
+        cfg = write_config(tmp_path / "cfg.json", template=template)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "template.samples must be a number" in capsys.readouterr().err
+        assert not (out / "stats.csv").exists()
+
     def test_non_object_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")
@@ -195,6 +203,12 @@ class TestVerify:
         captured = capsys.readouterr()
         assert needs in captured.err
         assert captured.out == ""  # rejected before any suite ran
+
+    def test_non_finite_measurement_is_no_pass(self, capsys):
+        # one draw gives zero stderrs, so every symmetry z is infinite
+        assert main(["verify", "symmetry", "--draws", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] mu_B positive" in out and "[PASS]" not in out
 
     def test_lemma1_suite_quick(self, capsys):
         assert main(["verify", "lemma1", "--draws", "100000"]) == 0
