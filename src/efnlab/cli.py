@@ -179,13 +179,19 @@ def cmd_figure(args) -> int:
 
     if args.figure in ("2b", "2c"):
         results = run_sweep(config, workers=workers)
-        header = ["M", "k", "mse", "stderr"] + (["thm2_prediction"] if args.figure == "2c" else [])
+        header = ["M", "k", "mse", "stderr"]
+        if args.figure == "2c":
+            header += ["thm2_prediction", "thm1_prediction", "thm1_prediction_stderr"]
         rows = []
         for M, stats in results:
             for i, k in enumerate(stats.ks):
                 row = [int(M), int(k), stats.phase_mse[i], stats.phase_mse_stderr[i]]
                 if args.figure == "2c":
-                    row.append(stats.predicted_mse_thm2[i])
+                    row += [
+                        stats.predicted_mse_thm2[i],
+                        stats.predicted_mse_thm1[i],
+                        stats.predicted_mse_thm1_stderr[i],
+                    ]
                 rows.append(row)
     elif args.figure in ("3", "4b"):
         results = run_sweep(config, workers=workers)

@@ -244,11 +244,14 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
     for start, stop in chunks(config.M, d):
         noise = config.sigma * rng.standard_normal((stop - start, d))
         shifts = align_rows(noise, template)[0]
-        cols = (np.arange(d)[None, :] + shifts[:, None]) % d
-        aligned = np.take_along_axis(noise, cols, axis=1)
+        # align in place: row i is rotated left by its shift
+        for i, s in enumerate(shifts.tolist()):
+            head = noise[i, :s].copy()
+            noise[i, :d - s] = noise[i, s:]
+            noise[i, d - s:] = head
         if total is not None:
-            aligned[0] += total
-        total = aligned.sum(axis=0)
+            noise[0] += total
+        total = noise.sum(axis=0)
     xhat = total / config.M
 
     estimate = EfnEstimate.from_samples(xhat, config.M)

@@ -91,21 +91,30 @@ def build_conditional_gaussian(
 
 
 def sample_cyclostationary(cg: ConditionalGaussian, rng, size: int) -> np.ndarray:
-    """Draw ``size`` rows from the conditional law by spectral synthesis.
+    """Draw ``size`` rows from the conditional law by filtering white noise.
 
-    Returns a (size, d) array.  Each row is
-    mean + sum_l sqrt(lambda_l) (A_l cos(2*pi*l*r/d) + B_l sin(2*pi*l*r/d))
-    with A, B i.i.d. standard normal, which has exactly the circulant target
-    covariance.  Row i takes normals 2d*i .. 2d*(i+1)-1 of the stream (A, then
-    B), so consecutive calls give the rows of one larger call, bit for bit.
+    Returns a (size, d) array.  Each row is mean + irfft(rfft(w) * h) for a
+    white row w of d standard normals, with h[l] = sqrt(d (lambda_l +
+    lambda_{d-l}) / 2) on the half spectrum l = 0 .. d/2.  The filter is
+    circulant with eigenvalues h^2, which are the eigenvalues of the target
+    covariance sum_l lambda_l cos(2*pi*l*(r-s)/d), so the law is exact;
+    lambda is symmetrised here rather than required to be symmetric, since
+    template spectra are symmetric only to rounding.  Row i takes normals
+    d*i .. d*(i+1)-1 of the stream, so consecutive calls give the rows of
+    one larger call, bit for bit.
     """
     lam = np.asarray(cg.spectral_eigenvalues, dtype=float)
     if np.any(lam < 0):
         raise InvalidArgumentError("spectral eigenvalues must be nonnegative")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    ab = rng.standard_normal((int(size), 2, cg.d))
-    coeff = np.sqrt(lam)[None, :] * (ab[:, 0] - 1j * ab[:, 1])
-    return (cg.d * np.fft.ifft(coeff, axis=1)).real + cg.mean[None, :]
+    d = cg.d
+    half = np.arange(d // 2 + 1)
+    h = np.sqrt(0.5 * d * (lam[half] + lam[(d - half) % d]))
+    spec = np.fft.rfft(rng.standard_normal((int(size), d)), axis=1)
+    spec *= h
+    rows = np.fft.irfft(spec, d, axis=1)
+    rows += cg.mean
+    return rows
 
 
 # ---------------------------------------------------------------------------

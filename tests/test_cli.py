@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, output files, reproducibility."""
 
 import json
+import warnings
 
 import pytest
 
@@ -166,7 +167,7 @@ class TestFigure:
         out = tmp_path / "f2c"
         assert main(["figure", "2c", "--out", str(out), "--trials", "2"]) == 0
         lines = (out / "figure2c.csv").read_text().splitlines()
-        assert lines[0] == "M,k,mse,stderr,thm2_prediction"
+        assert lines[0] == "M,k,mse,stderr,thm2_prediction,thm1_prediction,thm1_prediction_stderr"
         assert len(lines) == 1 + 4 * 10  # four M values x ten frequencies
 
 
@@ -206,9 +207,13 @@ class TestVerify:
 
     def test_non_finite_measurement_is_no_pass(self, capsys):
         # one draw gives zero stderrs, so every symmetry z is infinite
-        assert main(["verify", "symmetry", "--draws", "1"]) == 1
-        out = capsys.readouterr().out
-        assert "[FAIL] mu_B positive" in out and "[PASS]" not in out
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", "symmetry", "--draws", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "[FAIL] mu_B positive" in captured.out and "[PASS]" not in captured.out
+        assert "RuntimeWarning" not in captured.err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_lemma1_suite_quick(self, capsys):
         assert main(["verify", "lemma1", "--draws", "100000"]) == 0

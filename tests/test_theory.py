@@ -21,6 +21,27 @@ def flat(d, seed=0):
     )
 
 
+def beta_one(d):
+    return E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=d, beta=1.0))
+
+
+class FixedNormals(np.random.Generator):
+    """A Generator whose standard_normal returns one given block."""
+
+    def __init__(self, block):
+        super().__init__(np.random.PCG64(0))
+        self.block = block
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        assert tuple(size) == self.block.shape
+        return self.block.copy()
+
+
+def sample_from(cg, w):
+    """The sampler's rows for the white block ``w``."""
+    return E.sample_cyclostationary(cg, FixedNormals(w), size=w.shape[0])
+
+
 class TestConditionalGaussian:
     def test_delta_template_structure(self):
         d, k, nmag = 16, 3, 1.7
@@ -84,11 +105,29 @@ class TestSampler:
         assert abs(lag1) <= 3 * se
 
     def test_planted_mean_recovered(self):
-        t = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=16, beta=1.0))
-        cg = E.build_conditional_gaussian(t, 2, 1.5, 0.9)
-        z = E.sample_cyclostationary(cg, 11, size=100_000)
-        se = z.std(0, ddof=1) / math.sqrt(z.shape[0])
-        assert np.all(np.abs(z.mean(0) - cg.mean) <= 3 * se)
+        # antithetic white rows W and -W: the zero-mean part cancels exactly
+        cg = E.build_conditional_gaussian(beta_one(16), 2, 1.5, 0.9)
+        w = np.random.default_rng(11).standard_normal((1000, 16))
+        z = np.concatenate([sample_from(cg, w), sample_from(cg, -w)])
+        np.testing.assert_allclose(z.mean(0), cg.mean, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [0, 2, 8])
+    def test_filter_gram_is_target_covariance(self, k):
+        # row i is the filter F applied to e_i, so G = F^T and the law's
+        # covariance F F^T is G^T G
+        cg = E.build_conditional_gaussian(beta_one(16), k, 1.5, 0.9)
+        g = sample_from(cg, np.eye(16)) - cg.mean
+        np.testing.assert_allclose(g.T @ g, cg.covariance(), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [7, 8])
+    def test_asymmetric_eigenvalues_are_symmetrised(self, d):
+        lam = np.random.default_rng(d).uniform(0.0, 2.0 / d, size=d)
+        cg = ConditionalGaussian(
+            mean=np.zeros(d), spectral_eigenvalues=lam,
+            sigma2=1.0, k=0, noise_magnitude=0.0, noise_phase=0.0,
+        )
+        g = sample_from(cg, np.eye(d))
+        np.testing.assert_allclose(g.T @ g, cg.covariance(), rtol=0, atol=1e-12)
 
     def test_empirical_covariance_matches_target(self):
         t = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=8, beta=1.0))
