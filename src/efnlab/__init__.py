@@ -25,6 +25,7 @@ from .experiment import (
     AggregateStats,
     ExperimentConfig,
     SweepSpec,
+    Telemetry,
     TrialResult,
     aggregate_trials,
     observation_rng,

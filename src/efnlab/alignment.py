@@ -30,11 +30,11 @@ from .signals import TemplateSignal, circular_shift, dft
 BUDGET = 1 << 19
 
 
-def chunks(count: int, d: int) -> Iterator[tuple[int, int]]:
-    """(start, stop) bounds of the fixed-size row chunks that cover ``count`` rows."""
+def chunks(count: int, d: int, start: int = 0) -> Iterator[tuple[int, int]]:
+    """(start, stop) bounds of the fixed-size row chunks that cover rows ``start`` to ``count``."""
     step = max(1, BUDGET // d)
-    for start in range(0, count, step):
-        yield start, min(start + step, count)
+    for first in range(start, count, step):
+        yield first, min(first + step, count)
 
 
 def align_rows(rows: np.ndarray, template: TemplateSignal):

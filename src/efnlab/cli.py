@@ -21,6 +21,7 @@ import argparse
 import csv
 import json
 import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -33,6 +34,7 @@ from .experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
     SweepSpec,
+    Telemetry,
     run_experiment,
     run_sweep,
 )
@@ -54,13 +56,26 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             w.writerow([_fmt(v) for v in row])
 
 
-def _write_manifest(out_dir: Path, command: str, config_doc: dict, outputs: list[Path], t0: float) -> Path:
+def _write_manifest(
+    out_dir: Path, command: str, config_doc: dict, outputs: list[Path], t0: float, telemetry: Telemetry
+) -> Path:
     manifest = {
         "command": command,
         "config": config_doc,
         "tool_version": __version__,
         "duration_seconds": time.time() - t0,
         "outputs": [str(p) for p in outputs],
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "workers": telemetry.workers,
+        },
+        "counters": {
+            "trials": telemetry.trials,
+            "observations": telemetry.observations,
+            "ck_draws": telemetry.ck_draws,
+        },
     }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n")
@@ -105,23 +120,24 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     workers = _resolve_workers(args)
+    telemetry = Telemetry()
 
     csv_path = out_dir / "stats.csv"
     json_path = out_dir / "summary.json"
     if config.sweep is None:
-        stats = run_experiment(config, workers=workers)
+        stats = run_experiment(config, workers, telemetry)
         header = list(CSV_COLUMNS)
         rows = [list(rec.values()) for rec in stats.rows()]
         summary = stats.summary()
     else:
         header = [config.sweep.axis, *CSV_COLUMNS]
         rows, summary = [], []
-        for value, stats in run_sweep(config, workers=workers):
+        for value, stats in run_sweep(config, workers, telemetry):
             rows.extend([value, *rec.values()] for rec in stats.rows())
             summary.append({"value": value, **stats.summary()})
     _write_csv(csv_path, header, rows)
     json_path.write_text(json.dumps(summary, indent=2) + "\n")
-    _write_manifest(out_dir, "run", config.to_dict(), [csv_path, json_path], t0)
+    _write_manifest(out_dir, "run", config.to_dict(), [csv_path, json_path], t0, telemetry)
     print(f"wrote {csv_path} and {json_path}")
     return 0
 
@@ -175,10 +191,11 @@ def cmd_figure(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     workers = _resolve_workers(args)
+    telemetry = Telemetry()
     csv_path = out_dir / f"figure{args.figure}.csv"
 
     if args.figure in ("2b", "2c"):
-        results = run_sweep(config, workers=workers)
+        results = run_sweep(config, workers, telemetry)
         header = ["M", "k", "mse", "stderr"]
         if args.figure == "2c":
             header += ["thm2_prediction", "thm1_prediction", "thm1_prediction_stderr"]
@@ -194,12 +211,12 @@ def cmd_figure(args) -> int:
                     ]
                 rows.append(row)
     elif args.figure in ("3", "4b"):
-        results = run_sweep(config, workers=workers)
+        results = run_sweep(config, workers, telemetry)
         axis = config.sweep.axis
         header = [axis, "pearson", "stderr"]
         rows = [[v, s.mean_pearson, s.pearson_stderr] for v, s in results]
     else:  # 4c
-        stats = run_experiment(config, workers=workers)
+        stats = run_experiment(config, workers, telemetry)
         template = generate_template(config.template)
         header = ["k", "template_magnitude", "mse", "stderr", "thm2_prediction", "mse_ratio_thm2"]
         rows = []
@@ -211,7 +228,7 @@ def cmd_figure(args) -> int:
             ])
 
     _write_csv(csv_path, header, rows)
-    _write_manifest(out_dir, f"figure {args.figure}", config.to_dict(), [csv_path], t0)
+    _write_manifest(out_dir, f"figure {args.figure}", config.to_dict(), [csv_path], t0, telemetry)
     print(f"wrote {csv_path}")
     return 0
 

@@ -1,10 +1,14 @@
 """Command-line front end: exit codes, output files, reproducibility."""
 
 import json
+import os
+import platform
 import warnings
 
+import numpy as np
 import pytest
 
+from efnlab import experiment
 from efnlab.cli import main
 
 
@@ -142,6 +146,37 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--seed", "3"]) == 2
         assert "JSON object" in capsys.readouterr().err
 
+    def test_m_sweep_below_one_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(experiment, "run_trial", lambda config, t: ran.append(t))
+        cfg = write_config(tmp_path / "cfg.json", sweep={"axis": "M", "values": [0, 10]})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert ran == []
+        assert not (out / "stats.csv").exists()
+
+    @pytest.mark.parametrize(
+        "sweep, threads, counters",
+        [
+            (None, "1", {"trials": 5, "observations": 200, "ck_draws": 1000}),
+            ({"axis": "M", "values": [10, 20, 60]}, "2", {"trials": 5, "observations": 300, "ck_draws": 1000}),
+            ({"axis": "d", "values": [32, 64]}, "1", {"trials": 10, "observations": 400, "ck_draws": 2000}),
+        ],
+    )
+    def test_manifest_environment_and_counters(self, tmp_path, sweep, threads, counters):
+        cfg = write_config(tmp_path / "cfg.json", sweep=sweep)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--threads", threads]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "workers": int(threads),
+        }
+        assert manifest["counters"] == counters
+
     def test_sweep_config(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", sweep={"axis": "M", "values": [10, 20]})
         out = tmp_path / "o"
@@ -165,10 +200,14 @@ class TestFigure:
 
     def test_figure2c_schema(self, tmp_path):
         out = tmp_path / "f2c"
-        assert main(["figure", "2c", "--out", str(out), "--trials", "2"]) == 0
+        assert main(["figure", "2c", "--out", str(out), "--trials", "2", "--threads", "2"]) == 0
         lines = (out / "figure2c.csv").read_text().splitlines()
         assert lines[0] == "M,k,mse,stderr,thm2_prediction,thm1_prediction,thm1_prediction_stderr"
         assert len(lines) == 1 + 4 * 10  # four M values x ten frequencies
+        manifest = json.loads((out / "manifest.json").read_text())
+        # one walk per trial to the largest M, one C_k profile for the sweep
+        assert manifest["counters"] == {"trials": 2, "observations": 2 * 5000, "ck_draws": 4000}
+        assert manifest["environment"]["workers"] == 2
 
 
 class TestVerify:

@@ -49,7 +49,7 @@ class TestAccumulator:
     def test_single_observation_unwind(self, monkeypatch):
         row = [0.5, 2.0, -1.0, 0.3]  # peak at lag 1
         monkeypatch.setattr(experiment, "observation_rng", lambda *key: _RepeatedRow(row))
-        res = E.run_trial(trial_config(E.SignalFamilySpec(family="delta", d=4), M=1), 0)
+        (res,) = E.run_trial(trial_config(E.SignalFamilySpec(family="delta", d=4), M=1), 0)
         unwound = E.EfnEstimate.from_samples([2.0, -1.0, 0.3, 0.5], 1)
         np.testing.assert_array_equal(res.magnitudes, unwound.spectrum.magnitudes)
         np.testing.assert_array_equal(res.phase_errors, unwound.spectrum.phases)
@@ -58,8 +58,8 @@ class TestAccumulator:
         row = np.random.default_rng(4).standard_normal(16)
         monkeypatch.setattr(experiment, "observation_rng", lambda *key: _RepeatedRow(row))
         spec = E.SignalFamilySpec(family="power-law-psd", d=16, beta=0.5, phase_seed=1, zero_dc=False)
-        one = E.run_trial(trial_config(spec, M=1), 0)
-        two = E.run_trial(trial_config(spec, M=2), 0)
+        (one,) = E.run_trial(trial_config(spec, M=1), 0)
+        (two,) = E.run_trial(trial_config(spec, M=2), 0)
         np.testing.assert_array_equal(one.magnitudes, two.magnitudes)
         np.testing.assert_array_equal(one.phase_errors, two.phase_errors)
         assert one.pearson == two.pearson
@@ -68,10 +68,10 @@ class TestAccumulator:
         # folding each chunk into the running total equals one row-order sum
         spec = E.SignalFamilySpec(family="power-law-psd", d=64, beta=1.0, phase_seed=1)
         cfg = E.ExperimentConfig(template=spec, M=50, trials=1, master_seed=3, frequencies=(1, 3, 5))
-        whole = E.run_trial(cfg, 0)
+        (whole,) = E.run_trial(cfg, 0)
         for rows_per_chunk in (1, 7):
             monkeypatch.setattr(alignment, "BUDGET", rows_per_chunk * 64)
-            chunked = E.run_trial(cfg, 0)
+            (chunked,) = E.run_trial(cfg, 0)
             np.testing.assert_array_equal(chunked.phase_errors, whole.phase_errors)
             np.testing.assert_array_equal(chunked.magnitudes, whole.magnitudes)
             assert chunked.pearson == whole.pearson
@@ -92,7 +92,7 @@ class TestAccumulator:
             spec = E.dft(n)
             phasors += spec.magnitudes * np.exp(1j * (spec.phases + 2.0 * np.pi * k * r / 64))
         phasors /= cfg.M
-        res = E.run_trial(cfg, 0)
+        (res,) = E.run_trial(cfg, 0)
         direct = res.magnitudes * np.exp(1j * (res.phase_errors + t.spectrum.phases))
         assert np.abs(direct - phasors).max() <= 1e-9
 
@@ -100,7 +100,8 @@ class TestAccumulator:
 def one_row_trial(monkeypatch, spec, row, ks):
     """run_trial on the one observation ``row``, measured at bins ``ks``."""
     monkeypatch.setattr(experiment, "observation_rng", lambda *key: _RepeatedRow(row))
-    return E.run_trial(E.ExperimentConfig(template=spec, M=1, trials=1, frequencies=ks), 0)
+    (res,) = E.run_trial(E.ExperimentConfig(template=spec, M=1, trials=1, frequencies=ks), 0)
+    return res
 
 
 def plaw_spec(d, zero_dc=False):
@@ -148,7 +149,7 @@ class TestPhaseError:
 def trial_results(errors):
     """TrialResults at one bin whose wrapped phase errors are ``errors``."""
     return [
-        experiment.TrialResult(i, np.array([e]), np.ones(1), 0.5 + 0.01 * i)
+        experiment.TrialResult(i, np.array([e]), np.ones(1), 0.5 + 0.01 * i, 1)
         for i, e in enumerate(errors)
     ]
 

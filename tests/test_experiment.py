@@ -72,27 +72,28 @@ class TestSeeding:
         # the first M' rows of the M-row stream are the M'-observation trial
         cfg = small_config(M=20)
         template, ref = oracle_trial(cfg, 1, drawn=50)
-        assert_trial_matches(E.run_trial(cfg, 1), template, ref, np.asarray(cfg.frequencies))
+        (res,) = E.run_trial(cfg, 1)
+        assert_trial_matches(res, template, ref, np.asarray(cfg.frequencies))
 
 
 class TestRunTrial:
     def test_bit_reproducible(self):
         cfg = small_config()
-        a = E.run_trial(cfg, 0)
-        b = E.run_trial(cfg, 0)
+        (a,) = E.run_trial(cfg, 0)
+        (b,) = E.run_trial(cfg, 0)
         np.testing.assert_array_equal(a.phase_errors, b.phase_errors)
         np.testing.assert_array_equal(a.magnitudes, b.magnitudes)
         assert a.pearson == b.pearson
 
     def test_sigma_doubling_scales_magnitudes_only(self):
-        one = E.run_trial(small_config(sigma=1.0), 0)
-        two = E.run_trial(small_config(sigma=2.0), 0)
+        (one,) = E.run_trial(small_config(sigma=1.0), 0)
+        (two,) = E.run_trial(small_config(sigma=2.0), 0)
         np.testing.assert_array_equal(one.phase_errors, two.phase_errors)
         np.testing.assert_array_equal(2.0 * one.magnitudes, two.magnitudes)
 
     def test_single_observation_trial(self):
         cfg = small_config(M=1)
-        res = E.run_trial(cfg, 4)
+        (res,) = E.run_trial(cfg, 4)
         template = E.generate_template(cfg.template)
         noise = E.observation_rng(cfg.master_seed, 4).standard_normal((1, 64))[0]
         shift = int(np.argmax(E.correlation_oracle(noise, template)))
@@ -107,7 +108,7 @@ class TestRunTrial:
         # 7-row chunks against one direct-sum alignment per observation
         cfg = small_config()
         monkeypatch.setattr(alignment, "BUDGET", 7 * 64)
-        res = E.run_trial(cfg, 2)
+        (res,) = E.run_trial(cfg, 2)
         template, ref = oracle_trial(cfg, 2)
         assert_trial_matches(res, template, ref, np.asarray(cfg.frequencies))
 
@@ -132,7 +133,7 @@ class TestRunTrial:
             )
             for samples in (x, np.roll(x, shift))
         ]
-        base, moved = (E.run_trial(cfg, 0) for cfg in configs)
+        (base,), (moved,) = (E.run_trial(cfg, 0) for cfg in configs)
         np.testing.assert_allclose(moved.magnitudes, base.magnitudes, rtol=0, atol=1e-9)
         np.testing.assert_allclose(
             E.wrap_phase(moved.phase_errors - base.phase_errors), 0.0, rtol=0, atol=1e-9
@@ -148,7 +149,7 @@ class TestAggregation:
         np.testing.assert_array_equal(serial.phase_mse, parallel.phase_mse)
         assert serial.mean_pearson == parallel.mean_pearson
 
-        results = [E.run_trial(cfg, t) for t in range(cfg.trials)]
+        results = [E.run_trial(cfg, t)[0] for t in range(cfg.trials)]
         shuffled = [results[i] for i in (5, 0, 7, 2, 6, 1, 4, 3)]
         a = E.aggregate_trials(cfg, results)
         b = E.aggregate_trials(cfg, shuffled)
@@ -183,7 +184,7 @@ class TestAggregation:
 
     def test_thm1_stderr_is_profile_stderr_over_m(self):
         cfg = small_config(trials=2, ck_trials=1000)
-        stats = E.aggregate_trials(cfg, [E.run_trial(cfg, t) for t in range(2)])
+        stats = E.aggregate_trials(cfg, [E.run_trial(cfg, t)[0] for t in range(2)])
         ck_seed = np.random.SeedSequence(cfg.master_seed, spawn_key=(experiment._CK_SEED_LANE,))
         profile = E.estimate_ck_profile(
             E.generate_template(cfg.template), 1000, ck_seed, ks=cfg.frequencies
@@ -280,6 +281,18 @@ class TestConfigValidation:
             E.SweepSpec(axis, (10.9, 20.5, 30.2))
         assert E.SweepSpec(axis, (16, 32.0)).values == (16, 32.0)
 
+    @pytest.mark.parametrize("values", [(0, 10), (-5, 10)])
+    def test_m_sweep_rejects_values_below_one(self, values):
+        with pytest.raises(InvalidArgumentError, match="must be >= 1"):
+            E.SweepSpec("M", values)
+
+    def test_checkpoints(self):
+        sweep = E.SweepSpec("M", (10, 20, 40))
+        assert small_config().checkpoints == (50,)
+        assert small_config(M=40, sweep=sweep).checkpoints == (10, 20, 40)
+        assert small_config(M=30, sweep=sweep).checkpoints == (10, 20, 30)
+        assert small_config(M=40, sweep=E.SweepSpec("d", (64, 128))).checkpoints == (40,)
+
     def test_sweep_values_must_increase(self):
         with pytest.raises(InvalidArgumentError):
             E.SweepSpec("M", (100, 100))
@@ -300,11 +313,54 @@ class TestSweeps:
         pairs = E.sweep_configs(cfg)
         assert pairs[1][1].template.d == 128
 
-    def test_run_sweep_matches_individual_runs(self):
-        cfg = small_config(trials=3, sweep=E.SweepSpec("M", (10, 30)), ck_trials=1000)
-        swept = E.run_sweep(cfg)
-        solo = E.run_experiment(dataclasses.replace(cfg, M=30, sweep=None))
-        np.testing.assert_array_equal(swept[1][1].phase_mse, solo.phase_mse)
+    def test_run_sweep_matches_individual_runs(self, monkeypatch):
+        # 7-row chunks: checkpoints 3, 10 and 25 fall mid-chunk, 7 and 21 on a boundary
+        monkeypatch.setattr(alignment, "BUDGET", 7 * 64)
+        cfg = small_config(trials=3, sweep=E.SweepSpec("M", (3, 7, 10, 21, 25)), ck_trials=1000)
+        for workers in (1, 2):
+            swept = E.run_sweep(cfg, workers=workers)
+            assert [v for v, _ in swept] == [3.0, 7.0, 10.0, 21.0, 25.0]
+            for (_, stats), (_, solo_cfg) in zip(swept, E.sweep_configs(cfg)):
+                solo = E.run_experiment(solo_cfg, workers=workers)
+                assert stats.config == solo.config and stats.n_trials == solo.n_trials
+                for column in experiment.STATS_COLUMNS:
+                    np.testing.assert_array_equal(getattr(stats, column), getattr(solo, column))
+                assert stats.mean_pearson == solo.mean_pearson
+                assert stats.pearson_stderr == solo.pearson_stderr
+
+    def test_m_sweep_is_one_walk_and_one_profile(self, monkeypatch):
+        drawn, profiles = [], []
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, shape):
+                drawn[-1] += shape[0]
+                return self.rng.standard_normal(shape)
+
+        def counting_rng(master_seed, trial_index):
+            drawn.append(0)
+            return CountingRng(E.observation_rng(master_seed, trial_index))
+
+        def counting_profile(*args, **kwargs):
+            profiles.append(kwargs["ks"])
+            return E.estimate_ck_profile(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "observation_rng", counting_rng)
+        monkeypatch.setattr(experiment, "estimate_ck_profile", counting_profile)
+        cfg = small_config(trials=3, sweep=E.SweepSpec("M", (5, 10, 20, 40)), ck_trials=1000)
+        telemetry = E.Telemetry()
+        E.run_sweep(cfg, telemetry=telemetry)
+        assert drawn == [40, 40, 40]
+        assert len(profiles) == 1
+        assert (telemetry.trials, telemetry.observations, telemetry.ck_draws) == (3, 120, 1000)
+
+        drawn.clear()
+        profiles.clear()
+        E.run_sweep(small_config(trials=2, sweep=E.SweepSpec("d", (64, 128)), ck_trials=1000))
+        assert drawn == [50] * 4
+        assert len(profiles) == 2
 
 
 class TestKsStatistic:
