@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import platform
@@ -143,44 +144,34 @@ def cmd_run(args) -> int:
 
 
 def _figure_config(figure: str, args) -> ExperimentConfig:
-    trials = args.trials
-    seed = args.seed if args.seed is not None else 77
-    if figure == "2b":
-        return ExperimentConfig(
-            template=SignalFamilySpec(family="power-law-psd", d=256, beta=1.0, phase_seed=1),
-            M=200, trials=trials or 200, master_seed=seed,
-            frequencies=tuple(range(1, 128)),
+    """The figure's config at its default trial count and seed, then the flags."""
+    if figure in ("2b", "2c"):
+        d, ks = (256, range(1, 128)) if figure == "2b" else (1024, (1, 2, 3, 4, 6, 8, 12, 16, 24, 32))
+        config = ExperimentConfig(
+            template=SignalFamilySpec(family="power-law-psd", d=d, beta=1.0, phase_seed=1),
+            M=200, trials=200, frequencies=ks,
             sweep=SweepSpec("M", (200, 500, 1500, 5000)),
         )
-    if figure == "2c":
-        return ExperimentConfig(
-            template=SignalFamilySpec(family="power-law-psd", d=1024, beta=1.0, phase_seed=1),
-            M=200, trials=trials or 200, master_seed=seed,
-            frequencies=(1, 2, 3, 4, 6, 8, 12, 16, 24, 32),
-            sweep=SweepSpec("M", (200, 500, 1500, 5000)),
-        )
-    if figure == "3":
+    elif figure == "3":
         axis = "pad-ratio" if args.pad else "beta"
         values = (0.0, 1.0, 3.0) if args.pad else (0.0, 1.0, 2.0)
         family = "zero-padded-pulse" if args.pad else "power-law-psd"
-        return ExperimentConfig(
+        config = ExperimentConfig(
             template=SignalFamilySpec(family=family, d=512, beta=2.0, phase_seed=1),
-            M=1000, trials=trials or 200, master_seed=seed,
-            frequencies=(), sweep=SweepSpec(axis, values),
+            M=1000, trials=200, sweep=SweepSpec(axis, values),
         )
-    if figure == "4b":
-        return ExperimentConfig(
+    elif figure == "4b":
+        config = ExperimentConfig(
             template=SignalFamilySpec(family="power-law-psd", d=512, beta=0.0, phase_seed=1),
-            M=2000, trials=trials or 100, master_seed=seed,
-            frequencies=(), sweep=SweepSpec("d", (512, 2048, 8192)),
+            M=2000, trials=100, sweep=SweepSpec("d", (512, 2048, 8192)),
         )
-    # 4c
-    d = 2048
-    return ExperimentConfig(
-        template=SignalFamilySpec(family="power-law-psd", d=d, beta=0.0, phase_seed=1),
-        M=2000, trials=trials or 500, master_seed=seed,
-        frequencies=tuple(range(1, d // 2)),
-    )
+    else:  # 4c
+        config = ExperimentConfig(
+            template=SignalFamilySpec(family="power-law-psd", d=2048, beta=0.0, phase_seed=1),
+            M=2000, trials=500, frequencies=tuple(range(1, 1024)),
+        )
+    flags = {"master_seed": 77 if args.seed is None else args.seed, "trials": args.trials}
+    return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
 def cmd_figure(args) -> int:

@@ -17,6 +17,7 @@ process pool.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidArgumentError
+from .errors import InsufficientDataError, InvalidArgumentError, entries, integral, typed
 from .alignment import align_rows, chunks
 from .estimator import EfnEstimate, pearson_correlation
 from .signals import SignalFamilySpec, TemplateSignal, generate_template, wrap_phase
@@ -36,20 +37,8 @@ from .theory import AlignmentMoments, estimate_ck_profile, predict_magnitude, pr
 _CK_SEED_LANE = 0x5EED
 
 SWEEP_AXES = ("M", "d", "beta", "pad-ratio")
-
-
-def _typed(field: str, value, kind, name: str):
-    """``value`` itself if it is a ``kind`` and not a bool; otherwise a config error."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise InvalidArgumentError(f"{field} must be {name}, got {value!r}")
-    return value
-
-
-def _integral(field: str, value) -> int:
-    """``value`` as an int; anything but a whole number is a config error."""
-    if not float(_typed(field, value, numbers.Real, "an integer")).is_integer():
-        raise InvalidArgumentError(f"{field} must be an integer, got {value!r}")
-    return int(value)
+#: The sweep axes that only one template family reads.
+_AXIS_FAMILY = {"beta": "power-law-psd", "pad-ratio": "zero-padded-pulse"}
 
 
 @dataclass(frozen=True)
@@ -60,49 +49,57 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
             raise InvalidArgumentError(f"sweep.axis must be one of {SWEEP_AXES}, got {self.axis!r}")
-        vals = tuple(self.values)
+        field = f"sweep.values ({self.axis})"
+        vals = entries("sweep.values", self.values)
         for v in vals:
             if self.axis in ("M", "d"):
-                _integral(f"sweep.values ({self.axis})", v)
+                integral(field, v, 1)
             else:
-                _typed(f"sweep.values ({self.axis})", v, numbers.Real, "a number")
+                typed(field, v, numbers.Real, "a number")
         if len(vals) < 1 or any(b <= a for a, b in zip(vals, vals[1:])):
             raise InvalidArgumentError("sweep.values must be non-empty and strictly increasing")
-        if self.axis == "M" and vals[0] < 1:
-            raise InvalidArgumentError(f"sweep.values (M) must be >= 1, got {vals[0]!r}")
         object.__setattr__(self, "values", vals)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one Monte-Carlo experiment."""
+    """Full description of one Monte-Carlo experiment.
+
+    Every field is checked on construction, from Python as from JSON, and so
+    is every config a sweep expands to.  Counts may be whole floats; they are
+    stored as ints.
+    """
 
     template: SignalFamilySpec
-    M: int
-    trials: int
+    M: int = 1
+    trials: int = 1
     sigma: float = 1.0
     master_seed: int = 0
     frequencies: tuple = ()
-    sweep: Optional[SweepSpec] = None
     ck_trials: int = 4000
+    sweep: Optional[SweepSpec] = None
 
     def __post_init__(self):
-        if self.M < 1:
-            raise InvalidArgumentError(f"M must be >= 1, got {self.M}")
-        if self.trials < 1:
-            raise InvalidArgumentError(f"trials must be >= 1, got {self.trials}")
+        typed("template", self.template, SignalFamilySpec, "a template spec")
+        set_field = functools.partial(object.__setattr__, self)
+        set_field("M", integral("M", self.M, 1))
+        set_field("trials", integral("trials", self.trials, 1))
+        set_field("sigma", float(typed("sigma", self.sigma, numbers.Real, "a number")))
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise InvalidArgumentError(f"sigma must be positive and finite, got {self.sigma}")
-        if self.master_seed < 0:
-            raise InvalidArgumentError("master_seed must be a nonnegative integer")
-        freqs = tuple(_integral("frequencies", k) for k in self.frequencies)
-        if any(k < 0 or k > self.template.d - 1 for k in freqs):
-            raise InvalidArgumentError(
-                f"frequencies must lie in [0, {self.template.d - 1}], got {freqs}"
-            )
-        object.__setattr__(self, "frequencies", freqs)
-        if self.ck_trials < 1000:
-            raise InvalidArgumentError("ck_trials must be >= 1000")
+        set_field("master_seed", integral("master_seed", self.master_seed, 0))
+        d = self.template.d
+        freqs = tuple(integral("frequencies", k, 0) for k in entries("frequencies", self.frequencies))
+        if any(k > d - 1 for k in freqs):
+            raise InvalidArgumentError(f"frequencies must lie in [0, {d - 1}], got {freqs}")
+        set_field("frequencies", freqs)
+        set_field("ck_trials", integral("ck_trials", self.ck_trials, 1000))
+        if self.sweep is not None:
+            axis = typed("sweep", self.sweep, SweepSpec, "a sweep spec").axis
+            family = _AXIS_FAMILY.get(axis, self.template.family)
+            if family != self.template.family:
+                raise InvalidArgumentError(f"a {axis} sweep needs a {family} template, not {self.template.family}")
+            sweep_configs(self)
 
     @property
     def checkpoints(self) -> tuple:
@@ -116,54 +113,31 @@ class ExperimentConfig:
         return (*(int(v) for v in self.sweep.values if v < self.M), self.M)
 
     def to_dict(self) -> dict:
-        out = {
-            "template": dataclasses.asdict(self.template),
-            "M": self.M,
-            "trials": self.trials,
-            "sigma": self.sigma,
-            "master_seed": self.master_seed,
-            "frequencies": list(self.frequencies),
-            "ck_trials": self.ck_trials,
-        }
-        if self.sweep is not None:
-            out["sweep"] = {"axis": self.sweep.axis, "values": list(self.sweep.values)}
+        """The config as a JSON object; a config without a sweep has no "sweep" key."""
+        out = dataclasses.asdict(self)
+        if self.sweep is None:
+            del out["sweep"]
         return out
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if "template" not in doc:
-            raise InvalidArgumentError("config missing required field 'template'")
-        tdoc = dict(_typed("template", doc["template"], dict, "an object"))
-        if tdoc.get("samples") is not None:
-            samples = _typed("template.samples", tdoc["samples"], list, "a list")
-            tdoc["samples"] = tuple(
-                _typed("template.samples", v, numbers.Real, "a number") for v in samples
-            )
-        try:
-            template = SignalFamilySpec(**tdoc)
-        except TypeError as e:
-            raise InvalidArgumentError(f"template: {e}") from e
-        sweep = None
-        if doc.get("sweep") is not None:
-            sdoc = _typed("sweep", doc["sweep"], dict, "an object")
-            if not {"axis", "values"} <= set(sdoc):
-                raise InvalidArgumentError("sweep needs the fields 'axis' and 'values'")
-            values = _typed("sweep.values", sdoc["values"], list, "a list")
-            sweep = SweepSpec(axis=sdoc["axis"], values=tuple(values))
-        known = {"template", "M", "trials", "sigma", "master_seed", "frequencies", "sweep", "ck_trials"}
-        unknown = set(doc) - known
-        if unknown:
-            raise InvalidArgumentError(f"unknown config fields: {sorted(unknown)}")
-        return cls(
-            template=template,
-            M=_integral("M", doc.get("M", 1)),
-            trials=_integral("trials", doc.get("trials", 1)),
-            sigma=float(_typed("sigma", doc.get("sigma", 1.0), numbers.Real, "a number")),
-            master_seed=_integral("master_seed", doc.get("master_seed", 0)),
-            frequencies=tuple(_typed("frequencies", doc.get("frequencies", []), list, "a list")),
-            sweep=sweep,
-            ck_trials=_integral("ck_trials", doc.get("ck_trials", 4000)),
-        )
+        """The config a JSON object describes; a field it leaves out takes its default."""
+        doc = dict(typed("config", doc, dict, "an object"))
+        for name, spec in (("template", SignalFamilySpec), ("sweep", SweepSpec)):
+            if doc.get(name) is not None:
+                doc[name] = _build(spec, name, doc[name])
+        return _build(cls, "config", doc)
+
+
+def _build(cls, name: str, doc):
+    """``cls(**doc)`` for a JSON object that names only fields of dataclass ``cls``."""
+    unknown = set(typed(name, doc, dict, "an object")) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise InvalidArgumentError(f"unknown {name} fields: {sorted(unknown)}")
+    try:
+        return cls(**doc)
+    except TypeError as e:  # a required field is missing
+        raise InvalidArgumentError(f"{name}: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -409,18 +383,12 @@ def sweep_configs(config: ExperimentConfig) -> list[tuple[float, ExperimentConfi
     """Expand a sweep into (value, per-value config) pairs."""
     if config.sweep is None:
         raise InvalidArgumentError("config has no sweep")
-    out = []
+    axis, out = config.sweep.axis, []
     for v in config.sweep.values:
-        if config.sweep.axis == "M":
-            c = dataclasses.replace(config, M=int(v), sweep=None)
-        elif config.sweep.axis == "d":
-            t = dataclasses.replace(config.template, d=int(v))
-            c = dataclasses.replace(config, template=t, sweep=None)
-        elif config.sweep.axis == "beta":
-            t = dataclasses.replace(config.template, beta=float(v))
-            c = dataclasses.replace(config, template=t, sweep=None)
+        if axis == "M":
+            c = dataclasses.replace(config, M=v, sweep=None)
         else:
-            t = dataclasses.replace(config.template, pad_ratio=float(v))
+            t = dataclasses.replace(config.template, **{axis.replace("-", "_"): v})
             c = dataclasses.replace(config, template=t, sweep=None)
         out.append((float(v), c))
     return out

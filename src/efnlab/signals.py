@@ -12,12 +12,15 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ExcludedBinError, InvalidArgumentError, RejectedTemplateError
+from .errors import (
+    ExcludedBinError, InvalidArgumentError, RejectedTemplateError, entries, integral, real, typed,
+)
 
 #: Relative floor under which a spectral magnitude counts as vanishing.
 NON_VANISHING_FLOOR = 1e-8
@@ -170,7 +173,7 @@ class SignalFamilySpec:
                                random phases from phase_seed.
         "zero-padded-pulse" -- smooth bump occupying d/(1+pad_ratio) samples,
                                spectral magnitudes floored to stay non-vanishing.
-        "explicit-samples"  -- caller-supplied samples (normalized).
+        "explicit-samples"  -- caller-supplied samples, exactly d numbers (normalized).
     zero_dc:
         For the spectral families, zero the DC bin before synthesis (the
         high-dimensional theory assumes a zero DC component).
@@ -186,18 +189,24 @@ class SignalFamilySpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise InvalidArgumentError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        if self.d < 2 or self.d % 2 != 0:
-            raise InvalidArgumentError(f"d must be even and >= 2, got {self.d}")
-        if self.beta < 0:
-            raise InvalidArgumentError(f"beta must be nonnegative, got {self.beta}")
-        if self.pad_ratio < 0:
-            raise InvalidArgumentError(f"pad_ratio must be nonnegative, got {self.pad_ratio}")
-        if self.family == "explicit-samples":
-            if self.samples is None:
-                raise InvalidArgumentError("explicit-samples family requires samples")
-            if len(self.samples) % 2 != 0:
-                raise InvalidArgumentError("explicit samples must have even length")
+            raise InvalidArgumentError(f"template.family must be one of {FAMILIES}, got {self.family!r}")
+        d = integral("template.d", self.d, 2)
+        if d % 2 != 0:
+            raise InvalidArgumentError(f"template.d must be even, got {self.d!r}")
+        object.__setattr__(self, "d", d)
+        real("template.beta", self.beta, 0)
+        real("template.pad_ratio", self.pad_ratio, 0)
+        object.__setattr__(self, "phase_seed", integral("template.phase_seed", self.phase_seed, 0))
+        typed("template.zero_dc", self.zero_dc, bool, "true or false")
+        if self.samples is not None:
+            samples = entries("template.samples", self.samples)
+            for v in samples:
+                typed("template.samples", v, numbers.Real, "a number")
+            if len(samples) != d:
+                raise InvalidArgumentError(f"template.samples must hold d = {d} numbers, got {len(samples)}")
+            object.__setattr__(self, "samples", samples)
+        elif self.family == "explicit-samples":
+            raise InvalidArgumentError("explicit-samples family requires samples")
 
 
 def _synthesize(mag_half: np.ndarray, phase_half: np.ndarray, d: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,9 +38,6 @@ class ConditionalGaussian:
     mean: np.ndarray
     spectral_eigenvalues: np.ndarray
     sigma2: float
-    k: int
-    noise_magnitude: float
-    noise_phase: float
 
     @property
     def d(self) -> int:
@@ -84,9 +81,6 @@ def build_conditional_gaussian(
         mean=mean,
         spectral_eigenvalues=sigma2 * t,
         sigma2=sigma2,
-        k=k,
-        noise_magnitude=float(noise_magnitude),
-        noise_phase=float(noise_phase),
     )
 
 
@@ -184,7 +178,7 @@ def alignment_moments(
     seed,
     *,
     sigma: float = 1.0,
-    ks: Optional[Sequence[int]] = None,
+    ks: Sequence[int],
 ) -> AlignmentMoments:
     """Run ``trials`` single-observation alignments and collect the per-k
     moments of the residual-phase sine/cosine terms.
@@ -198,7 +192,7 @@ def alignment_moments(
     if trials < 1:
         raise InvalidArgumentError("alignment_moments needs at least 1 draw")
     d = template.d
-    kset = np.arange(d) if ks is None else np.asarray(list(ks), dtype=int)
+    kset = np.asarray(list(ks), dtype=int)
     if kset.size and (kset.min() < 0 or kset.max() > d - 1):
         raise InvalidArgumentError("requested frequency outside [0, d-1]")
     upper = kset > d // 2
@@ -253,8 +247,7 @@ def alignment_moments(
 
 
 def estimate_ck_profile(
-    template: TemplateSignal, trials: int, seed, *, sigma: float = 1.0,
-    ks: Optional[Sequence[int]] = None,
+    template: TemplateSignal, trials: int, seed, *, sigma: float = 1.0, ks: Sequence[int],
 ) -> AlignmentMoments:
     """The alignment moments and C_k at several frequencies, from at least
     1000 draws.

@@ -205,9 +205,6 @@ class Lemma1Report:
     positive.
     """
 
-    k: int
-    phi: float
-    trials: int
     mu: np.ndarray
     freq_pos: np.ndarray
     freq_neg: np.ndarray
@@ -257,9 +254,6 @@ def lemma1_check(
     mean_conc = float((joint * term).sum()) / n
     var_conc = max(float((joint * term**2).sum()) / n - mean_conc**2, 0.0)
     return Lemma1Report(
-        k=k,
-        phi=float(phi),
-        trials=trials,
         mu=mu,
         freq_pos=freq1,
         freq_neg=freq2,

@@ -1,15 +1,22 @@
 """Command-line front end: exit codes, output files, reproducibility."""
 
+import argparse
+import importlib.util
 import json
 import os
 import platform
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from efnlab import experiment
+from efnlab import cli, experiment
 from efnlab.cli import main
+from efnlab.experiment import ExperimentConfig
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def write_config(path, **overrides):
@@ -157,6 +164,48 @@ class TestRun:
         assert not (out / "stats.csv").exists()
 
     @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"template": {"family": "explicit-samples", "d": 4, "samples": [1.0] * 8}},
+             "template.samples must hold d = 4 numbers"),
+            ({"template": {"family": "power-law-psd", "d": 16, "zero_dc": "no"}},
+             "template.zero_dc must be true or false"),
+            ({"template": {"family": "power-law-psd", "d": 16, "phase_seed": 1.5}},
+             "template.phase_seed must be an integer"),
+            ({"template": {"family": "power-law-psd", "d": 16, "phase_seed": -1}},
+             "template.phase_seed must be >= 0"),
+            ({"sweep": {"axis": "M", "values": [10, 20], "extra": 1}}, "unknown sweep fields"),
+            ({"template": {"family": "delta", "d": 16}, "sweep": {"axis": "beta", "values": [0, 1]}},
+             "beta sweep needs a power-law-psd template"),
+            ({"sweep": {"axis": "pad-ratio", "values": [0, 1]}},
+             "pad-ratio sweep needs a zero-padded-pulse template"),
+            ({"template": {"family": "explicit-samples", "d": 8, "samples": [1.0] * 8},
+              "sweep": {"axis": "d", "values": [8, 16, 32]}},
+             "template.samples must hold d = 16 numbers"),
+        ],
+        ids=["samples-length", "zero-dc", "phase-seed-fraction", "phase-seed-negative",
+             "sweep-extra-key", "beta-sweep-on-delta", "pad-sweep-on-psd", "d-sweep-of-samples"],
+    )
+    def test_config_error_is_usage_error_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, overrides, message
+    ):
+        ran = []
+        monkeypatch.setattr(experiment, "run_trial", lambda config, t: ran.append(t))
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert ran == []
+        assert not (out / "stats.csv").exists()
+
+    def test_whole_float_d_runs_at_that_d(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", template={"family": "power-law-psd", "d": 10.0})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        d = json.loads((out / "manifest.json").read_text())["config"]["template"]["d"]
+        assert d == 10 and isinstance(d, int)
+
+    @pytest.mark.parametrize(
         "sweep, threads, counters",
         [
             (None, "1", {"trials": 5, "observations": 200, "ck_draws": 1000}),
@@ -198,6 +247,24 @@ class TestFigure:
         assert len(lines) == 4  # header + three beta values
         assert (out / "manifest.json").exists()
 
+    def test_figure3_pad_schema(self, tmp_path):
+        out = tmp_path / "f3"
+        assert main(["figure", "3", "--pad", "--out", str(out), "--trials", "2"]) == 0
+        lines = (out / "figure3.csv").read_text().splitlines()
+        assert lines[0] == "pad-ratio,pearson,stderr"
+        assert len(lines) == 4  # header + three pad ratios
+
+    @pytest.mark.parametrize("figure", ["2b", "2c", "3", "4b", "4c"])
+    def test_zero_trials_is_usage_error(self, tmp_path, capsys, monkeypatch, figure):
+        ran = []
+        monkeypatch.setattr(experiment, "run_trial", lambda config, t: ran.append(t))
+        monkeypatch.delenv("EFN_THREADS", raising=False)
+        out = tmp_path / "f"
+        assert main(["figure", figure, "--out", str(out), "--trials", "0"]) == 2
+        assert "trials must be >= 1" in capsys.readouterr().err
+        assert ran == []
+        assert not (out / f"figure{figure}.csv").exists()
+
     def test_figure2c_schema(self, tmp_path):
         out = tmp_path / "f2c"
         assert main(["figure", "2c", "--out", str(out), "--trials", "2", "--threads", "2"]) == 0
@@ -208,6 +275,34 @@ class TestFigure:
         # one walk per trial to the largest M, one C_k profile for the sweep
         assert manifest["counters"] == {"trials": 2, "observations": 2 * 5000, "ck_draws": 4000}
         assert manifest["environment"]["workers"] == 2
+
+
+def bench_flat_config(monkeypatch) -> dict:
+    """The config the benchmark's flat_hd workload writes, from ``bench/run.py``."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_run", module)
+    spec.loader.exec_module(module)
+    return module.flat_config()
+
+
+class TestConfigRoundTrip:
+    """Every config the CLI builds survives to_dict -> JSON -> from_dict unchanged."""
+
+    @staticmethod
+    def assert_round_trips(config):
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+    @pytest.mark.parametrize(
+        "figure, pad", [("2b", False), ("2c", False), ("3", False), ("3", True), ("4b", False), ("4c", False)]
+    )
+    def test_figure_configs(self, figure, pad):
+        args = argparse.Namespace(trials=None, seed=None, pad=pad)
+        self.assert_round_trips(cli._figure_config(figure, args))
+
+    def test_flat_hd_config(self, monkeypatch):
+        self.assert_round_trips(ExperimentConfig.from_dict(bench_flat_config(monkeypatch)))
 
 
 class TestVerify:

@@ -267,6 +267,11 @@ class TestConfigValidation:
             ("sweep", {"axis": "beta", "values": ["a", "b"]}),
             ("template", {"family": "explicit-samples", "d": 4, "samples": 5}),
             ("template", {"family": "explicit-samples", "d": 4, "samples": ["a", 1, 2, 3]}),
+            ("template", {"family": "explicit-samples", "d": 4, "samples": [1.0] * 8}),
+            ("template", {"family": "power-law-psd", "d": 16, "zero_dc": "no"}),
+            ("template", {"family": "power-law-psd", "d": 16, "phase_seed": 1.5}),
+            ("template", {"family": "power-law-psd", "d": 16, "phase_seed": -1}),
+            ("sweep", {"axis": "M", "values": [10, 20], "extra": 1}),
             ("trials", True),
         ],
     )
@@ -274,6 +279,25 @@ class TestConfigValidation:
         doc = {**small_config().to_dict(), field: value}
         with pytest.raises(InvalidArgumentError, match=field):
             E.ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field, value", [("M", 10.5), ("trials", "3"), ("sigma", "1"), ("master_seed", 1.5), ("ck_trials", 2000.5)]
+    )
+    def test_python_construction_checks_types(self, field, value):
+        with pytest.raises(InvalidArgumentError, match=field):
+            small_config(**{field: value})
+        with pytest.raises(InvalidArgumentError, match=field):
+            dataclasses.replace(small_config(), **{field: value})
+
+    @pytest.mark.parametrize(
+        "family, axis, values",
+        [("delta", "beta", (0.0, 1.0)), ("power-law-psd", "pad-ratio", (0.0, 1.0)),
+         ("zero-padded-pulse", "beta", (0.0, 1.0))],
+    )
+    def test_sweep_axis_the_family_ignores_is_rejected(self, family, axis, values):
+        template = E.SignalFamilySpec(family=family, d=64)
+        with pytest.raises(InvalidArgumentError, match=f"{axis} sweep"):
+            small_config(template=template, sweep=E.SweepSpec(axis, values))
 
     @pytest.mark.parametrize("axis", ["M", "d"])
     def test_sweep_rejects_non_integral_values(self, axis):

@@ -199,6 +199,15 @@ class TestGenerateTemplate:
         with pytest.raises(InvalidArgumentError):
             E.SignalFamilySpec(family="delta", d=15)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [{"d": "16"}, {"phase_seed": 1.5}, {"phase_seed": -1}, {"zero_dc": "no"}, {"beta": "1"},
+         {"pad_ratio": math.inf}, {"family": "explicit-samples", "samples": (1.0,) * 8}],
+    )
+    def test_every_field_is_checked(self, kw):
+        with pytest.raises(InvalidArgumentError, match="template"):
+            E.SignalFamilySpec(**{"family": "power-law-psd", "d": 16, **kw})
+
     def test_explicit_samples_normalized(self):
         spec = E.SignalFamilySpec(family="explicit-samples", d=4, samples=(3.0, 0.0, 4.0, 0.0))
         t = E.generate_template(spec)

@@ -87,17 +87,13 @@ class TestConditionalGaussian:
 
 class TestSampler:
     def test_zero_eigenvalues_give_deterministic_mean(self):
-        cg = ConditionalGaussian(
-            mean=np.zeros(8), spectral_eigenvalues=np.zeros(8),
-            sigma2=1.0, k=0, noise_magnitude=0.0, noise_phase=0.0,
-        )
+        cg = ConditionalGaussian(mean=np.zeros(8), spectral_eigenvalues=np.zeros(8), sigma2=1.0)
         np.testing.assert_array_equal(E.sample_cyclostationary(cg, 0, size=3), np.zeros((3, 8)))
 
     def test_flat_eigenvalues_have_no_lag_correlation(self):
         d = 16
         cg = ConditionalGaussian(
-            mean=np.zeros(d), spectral_eigenvalues=np.full(d, 1.0 / d),
-            sigma2=1.0, k=0, noise_magnitude=0.0, noise_phase=0.0,
+            mean=np.zeros(d), spectral_eigenvalues=np.full(d, 1.0 / d), sigma2=1.0
         )
         z = E.sample_cyclostationary(cg, 5, size=100_000)
         lag1 = (z[:, :-1] * z[:, 1:]).mean()
@@ -122,10 +118,7 @@ class TestSampler:
     @pytest.mark.parametrize("d", [7, 8])
     def test_asymmetric_eigenvalues_are_symmetrised(self, d):
         lam = np.random.default_rng(d).uniform(0.0, 2.0 / d, size=d)
-        cg = ConditionalGaussian(
-            mean=np.zeros(d), spectral_eigenvalues=lam,
-            sigma2=1.0, k=0, noise_magnitude=0.0, noise_phase=0.0,
-        )
+        cg = ConditionalGaussian(mean=np.zeros(d), spectral_eigenvalues=lam, sigma2=1.0)
         g = sample_from(cg, np.eye(d))
         np.testing.assert_allclose(g.T @ g, cg.covariance(), rtol=0, atol=1e-12)
 
@@ -140,10 +133,8 @@ class TestSampler:
         assert np.all(np.abs(emp - target) <= 3 * se)
 
     def test_negative_eigenvalue_rejected(self):
-        cg = ConditionalGaussian(
-            mean=np.zeros(4), spectral_eigenvalues=np.array([0.5, -0.1, 0.4, 0.2]),
-            sigma2=1.0, k=0, noise_magnitude=0.0, noise_phase=0.0,
-        )
+        lam = np.array([0.5, -0.1, 0.4, 0.2])
+        cg = ConditionalGaussian(mean=np.zeros(4), spectral_eigenvalues=lam, sigma2=1.0)
         with pytest.raises(InvalidArgumentError):
             E.sample_cyclostationary(cg, 0, size=1)
 
