@@ -1,8 +1,8 @@
 """Exception types shared across the package, and the config field checks
 that raise them."""
 
-import math
 import numbers
+import sys
 
 
 class InvalidArgumentError(ValueError):
@@ -56,7 +56,7 @@ def integral(field: str, value, minimum) -> int:
 def real(field: str, value, minimum):
     """``value`` itself if it is a finite number of at least ``minimum``."""
     typed(field, value, numbers.Real, "a number")
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # also an int too large for a float
         raise InvalidArgumentError(f"{field} must be finite, got {value!r}")
     return _at_least(field, value, minimum)
 

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidArgumentError, entries, integral, typed
+from .errors import InsufficientDataError, InvalidArgumentError, entries, integral, real, typed
 from .alignment import align_rows, chunks
 from .estimator import EfnEstimate, pearson_correlation
 from .signals import SignalFamilySpec, TemplateSignal, generate_template, wrap_phase
@@ -84,14 +84,14 @@ class ExperimentConfig:
         set_field = functools.partial(object.__setattr__, self)
         set_field("M", integral("M", self.M, 1))
         set_field("trials", integral("trials", self.trials, 1))
-        set_field("sigma", float(typed("sigma", self.sigma, numbers.Real, "a number")))
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise InvalidArgumentError(f"sigma must be positive and finite, got {self.sigma}")
+        set_field("sigma", float(real("sigma", self.sigma, 0)))
+        if not self.sigma > 0:
+            raise InvalidArgumentError(f"sigma must be positive, got {self.sigma}")
         set_field("master_seed", integral("master_seed", self.master_seed, 0))
         d = self.template.d
         freqs = tuple(integral("frequencies", k, 0) for k in entries("frequencies", self.frequencies))
-        if any(k > d - 1 for k in freqs):
-            raise InvalidArgumentError(f"frequencies must lie in [0, {d - 1}], got {freqs}")
+        if any(k > d - 1 for k in freqs) or len(set(freqs)) < len(freqs):
+            raise InvalidArgumentError(f"frequencies must be distinct bins in [0, {d - 1}], got {freqs}")
         set_field("frequencies", freqs)
         set_field("ck_trials", integral("ck_trials", self.ck_trials, 1000))
         if self.sweep is not None:
@@ -313,7 +313,7 @@ def aggregate_trials(
         pred1_se = profile.ck_stderr / config.M
         pred1_mag = profile.mu_b
         pred2 = np.asarray([predict_phase_mse(template, int(k), config.M) for k in ks])
-        pred2_mag = np.asarray([predict_magnitude(template, int(k)) for k in ks])
+        pred2_mag = config.sigma * np.asarray([predict_magnitude(template, int(k)) for k in ks])
     else:
         mse = mse_se = mag_mean = mag_se = np.empty(0)
         pred1 = pred1_se = pred2 = pred1_mag = pred2_mag = np.empty(0)
@@ -343,17 +343,14 @@ def _walk(config: ExperimentConfig, workers: int, telemetry: Optional[Telemetry]
     The trials run on one process pool when ``workers`` > 1, and the C_k
     profile is estimated once, after them, for all checkpoints.
     """
-    _template_of(config)  # rejects a bad template or bin before any trial runs
+    template = _template_of(config)  # rejects a bad template or bin before any trial runs
     pool_size = max(1, min(workers, config.trials))
     if pool_size == 1:
         walks = [run_trial(config, t) for t in range(config.trials)]
     else:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             walks = list(pool.map(run_trial, [config] * config.trials, range(config.trials)))
-    # the template is built afresh rather than held across the trials: holding
-    # it shifted the heap the C_k chunks are allocated from and raised a
-    # d=2048 run's peak RSS from 84.9 to 88.0 MB
-    profile = _ck_profile(config, _template_of(config)) if config.frequencies else None
+    profile = _ck_profile(config, template) if config.frequencies else None
     if telemetry is not None:
         telemetry.trials += len(walks)
         telemetry.observations += sum(w[-1].observations for w in walks)

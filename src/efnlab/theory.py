@@ -185,8 +185,11 @@ def alignment_moments(
 
     The alignment runs through the production kernel, in fixed-size chunks of
     draws; ``N[k]`` is read from the kernel's rfft, as the conjugate of bin
-    d-k for k > d/2.  Each chunk's statistics are summed into the running
-    totals in draw order, so the result does not depend on the chunk size.
+    d-k for k > d/2, and turned into the template's phase frame by one
+    complex rotation, N[k] e^{2 pi i k s / d} e^{-i phi_X[k]} / sqrt(d), whose
+    root of unity comes from a table; its imaginary part is a and its real
+    part b.  Each chunk's terms are summed into the running totals in draw
+    order, so the result does not depend on the chunk size.
     """
     template.require_alignable()
     if trials < 1:
@@ -197,49 +200,45 @@ def alignment_moments(
         raise InvalidArgumentError("requested frequency outside [0, d-1]")
     upper = kset > d // 2
     bins = np.where(upper, d - kset, kset)
-    phi_x = template.spectrum.phases[kset]
+    frame = np.exp(-1j * template.spectrum.phases[kset]) / math.sqrt(d)
+    roots = np.exp(2j * np.pi * np.arange(d) / d)
     rng = np.random.default_rng(seed)
 
-    total = None
-    scale = 1.0 / math.sqrt(d)
+    total = 0.0
     for start, stop in chunks(trials, d):
-        noise = sigma * rng.standard_normal((stop - start, d))
-        shifts, _, spec = align_rows(noise, template)
-        spec_n = spec[:, bins] * scale
-        spec_n = np.where(upper[None, :], np.conj(spec_n), spec_n)
-        phi_e = (
-            2.0 * np.pi * kset[None, :] * shifts[:, None] / d
-            + np.angle(spec_n)
-            - phi_x[None, :]
-        )
-        mag_n = np.abs(spec_n)
-        a = mag_n * np.sin(phi_e)
-        b = mag_n * np.cos(phi_e)
-        terms = np.stack([a, a**2, a**4, b, b**2, a**2 * b], axis=1)
-        if total is not None:
-            terms[0] += total
+        # correlation rows dropped; spec kept, as freeing it made each chunk fault in new pages
+        shifts, spec = align_rows(sigma * rng.standard_normal((stop - start, d)), template)[::2]
+        z = spec[:, bins]
+        np.conjugate(z, out=z, where=upper)
+        z *= roots[np.outer(shifts, kset) % d] * frame
+        # a, a^2, a^4, b, b^2, a^2 b side by side, as numpy sums 1-entry rows pairwise
+        terms = np.empty((stop - start, 6, kset.size))
+        a, a2, a4, b, b2, a2b = terms.transpose(1, 0, 2)
+        a[:], b[:] = z.imag, z.real
+        np.square(a, out=a2)
+        np.square(a2, out=a4)
+        np.square(b, out=b2)
+        np.multiply(a2, b, out=a2b)
+        terms[0] += total
         total = terms.sum(axis=0)
-    sum_a, sum_a2, sum_a4, sum_b, sum_b2, sum_a2b = total
+        del z, terms, a, a2, a4, b, b2, a2b  # freed before the next chunk aligns
 
-    n = float(trials)
-    mu_a = sum_a / n
-    mu_b = sum_b / n
-    m2a = sum_a2 / n
+    mu_a, m2a, m4a, mu_b, m2b, m2ab = total / trials
     var_a = np.maximum(m2a - mu_a**2, 0.0)
-    var_b = np.maximum(sum_b2 / n - mu_b**2, 0.0)
+    var_b = np.maximum(m2b - mu_b**2, 0.0)
     # C_k = m2a / mu_b^2; its variance by the delta method, from the
     # variances of m2a and mu_b and their covariance
-    var_m2a = np.maximum(sum_a4 / n - m2a**2, 0.0) / n
-    cov = (sum_a2b / n - m2a * mu_b) / n
+    var_m2a = np.maximum(m4a - m2a**2, 0.0) / trials
+    cov = (m2ab - m2a * mu_b) / trials
     g1 = 1.0 / mu_b**2
     g2 = -2.0 * m2a / mu_b**3
-    var_ck = g1 * g1 * var_m2a + g2 * g2 * (var_b / n) + 2.0 * g1 * g2 * cov
+    var_ck = g1 * g1 * var_m2a + g2 * g2 * (var_b / trials) + 2.0 * g1 * g2 * cov
     return AlignmentMoments(
         ks=kset,
         mu_a=mu_a,
-        mu_a_stderr=np.sqrt(var_a / n),
+        mu_a_stderr=np.sqrt(var_a / trials),
         mu_b=mu_b,
-        mu_b_stderr=np.sqrt(var_b / n),
+        mu_b_stderr=np.sqrt(var_b / trials),
         ck=m2a / mu_b**2,
         ck_stderr=np.sqrt(np.maximum(var_ck, 0.0)),
         trials=trials,
@@ -282,7 +281,7 @@ def predict_phase_mse(template: TemplateSignal, k: int, M: int) -> float:
 
 
 def predict_magnitude(template: TemplateSignal, k: int) -> float:
-    """Predicted estimator magnitude at bin k: sqrt(2 ln d) * |X[k]|.
+    """Predicted estimator magnitude at bin k for unit noise: sqrt(2 ln d) * |X[k]|.
 
     This is the d -> infinity limit.  At finite d with a white correlation
     sequence (flat template) the expected magnitude is m_d |X[k]|, where m_d

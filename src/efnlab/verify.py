@@ -307,7 +307,7 @@ SUITES = {
 #: Smallest value each suite accepts for each count override it takes.
 MIN_COUNTS = {
     "alignment": {"cases": 1},
-    "symmetry": {"draws": 1},
+    "symmetry": {"draws": 2},
     "gumbel": {"replicates": KS_MIN_SAMPLES},
     "prop3": {"draws": 1},
     "lemma1": {"draws": LEMMA1_MIN_DRAWS},

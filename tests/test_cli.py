@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from efnlab import cli, experiment
+from efnlab import cli, experiment, verify
 from efnlab.cli import main
 from efnlab.experiment import ExperimentConfig
 
@@ -137,6 +137,18 @@ class TestRun:
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert "sigma must be a number" in capsys.readouterr().err
+        assert not (out / "stats.csv").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [({"sigma": 10**400}, "sigma"),
+         ({"template": {"family": "power-law-psd", "d": 64, "beta": 10**400}}, "template.beta")],
+    )
+    def test_number_too_large_for_a_float_is_usage_error(self, tmp_path, capsys, overrides, field):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
         assert not (out / "stats.csv").exists()
 
     def test_non_number_explicit_sample_is_usage_error(self, tmp_path, capsys):
@@ -331,6 +343,7 @@ class TestVerify:
             (["gumbel", "--replicates", "0"], "--replicates >= 100"),
             (["prop3", "--draws", "0"], "--draws >= 1"),
             (["prop3", "--draws", "-5"], "--draws >= 1"),
+            (["symmetry", "--draws", "1"], "--draws >= 2"),
         ],
     )
     def test_count_below_suite_minimum_is_usage_error(self, capsys, argv, needs):
@@ -339,8 +352,10 @@ class TestVerify:
         assert needs in captured.err
         assert captured.out == ""  # rejected before any suite ran
 
-    def test_non_finite_measurement_is_no_pass(self, capsys):
-        # one draw gives zero stderrs, so every symmetry z is infinite
+    def test_non_finite_measurement_is_no_pass(self, capsys, monkeypatch):
+        # one draw gives zero stderrs, so every symmetry z is infinite; the
+        # suite's floor of 2 draws is lowered to reach those rows
+        monkeypatch.setitem(verify.MIN_COUNTS["symmetry"], "draws", 1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["verify", "symmetry", "--draws", "1"]) == 1

@@ -90,6 +90,12 @@ class TestRunTrial:
         (two,) = E.run_trial(small_config(sigma=2.0), 0)
         np.testing.assert_array_equal(one.phase_errors, two.phase_errors)
         np.testing.assert_array_equal(2.0 * one.magnitudes, two.magnitudes)
+        # so do the mean magnitudes and both their predictions; no phase statistic moves
+        lo, hi = (E.run_experiment(small_config(sigma=s, trials=2, ck_trials=1000)) for s in (1.0, 2.0))
+        for name in ("mean_magnitude", "predicted_magnitude_thm1", "predicted_magnitude_thm2"):
+            np.testing.assert_array_equal(2.0 * getattr(lo, name), getattr(hi, name))
+        for name in ("phase_mse", "predicted_mse_thm1", "predicted_mse_thm2"):
+            np.testing.assert_array_equal(getattr(lo, name), getattr(hi, name))
 
     def test_single_observation_trial(self):
         cfg = small_config(M=1)
@@ -273,6 +279,7 @@ class TestConfigValidation:
             ("template", {"family": "power-law-psd", "d": 16, "phase_seed": -1}),
             ("sweep", {"axis": "M", "values": [10, 20], "extra": 1}),
             ("trials", True),
+            ("frequencies", [1, 1]),
         ],
     )
     def test_from_dict_rejects_wrong_types(self, field, value):
