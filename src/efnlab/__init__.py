@@ -36,12 +36,12 @@ from .experiment import (
 )
 from .signals import (
     SignalFamilySpec,
-    SpectralRepr,
     TemplateSignal,
     circular_shift,
     dft,
     generate_template,
     idft,
+    polar,
     signal_to_csv,
     signal_to_json,
     wrap_phase,

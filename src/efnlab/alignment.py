@@ -9,8 +9,8 @@ routes compute the same correlation sequence:
   Monte-Carlo;
 * :func:`correlation_oracle`     -- direct O(d^2) sums, the test reference;
 * :func:`fourier_correlation_sequence` -- the magnitude/phase cosine-sum form,
-  assembled from polar spectra.  Under the unitary convention it equals the
-  real-space inner products exactly (no extra constant).
+  assembled from the spectra's polar views.  Under the unitary convention it
+  equals the real-space inner products exactly (no extra constant).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import LengthMismatchError
-from .signals import TemplateSignal, circular_shift, dft
+from .signals import TemplateSignal, circular_shift, dft, polar
 
 #: Doubles per row chunk: every Monte-Carlo loop in the package (trials, the
 #: ``C_k`` moments and the verify samplers) draws ``max(1, BUDGET // d)`` rows
@@ -69,15 +69,10 @@ def fourier_correlation_sequence(noise, template: TemplateSignal) -> np.ndarray:
     """Polar-form correlation: entry r is
     sum_k |X[k]| |N[k]| cos(2*pi*k*r/d + phi_N[k] - phi_X[k]).
     """
-    spec_n = dft(noise)
-    d = spec_n.d
+    mag_n, phase_n = polar(dft(noise))
+    d = mag_n.size
     if d != template.d:
         raise LengthMismatchError(f"noise length {d} != template length {template.d}")
-    spec_x = template.spectrum
-    c = (
-        spec_x.magnitudes
-        * spec_n.magnitudes
-        * np.exp(1j * (spec_n.phases - spec_x.phases))
-    )
+    c = template.magnitudes * mag_n * np.exp(1j * (phase_n - template.phases))
     return (d * np.fft.ifft(c)).real
 

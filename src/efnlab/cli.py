@@ -102,10 +102,10 @@ def _resolve_workers(args) -> int:
 def _load_config(path: str, args) -> ExperimentConfig:
     try:
         doc = json.loads(Path(path).read_text())
-    except FileNotFoundError as e:
-        raise InvalidArgumentError(f"config: {e}") from e
     except json.JSONDecodeError as e:
         raise InvalidArgumentError(f"config: line {e.lineno}: {e.msg}") from e
+    except (OSError, ValueError) as e:  # unreadable, not UTF-8, or a number json cannot convert
+        raise InvalidArgumentError(f"config: {e}") from e
     if not isinstance(doc, dict):
         raise InvalidArgumentError("config: the top level must be a JSON object")
     for flag, field in (("M", "M"), ("trials", "trials"), ("sigma", "sigma"), ("seed", "master_seed"), ("ck_trials", "ck_trials")):
@@ -213,7 +213,7 @@ def cmd_figure(args) -> int:
         rows = []
         for i, k in enumerate(stats.ks):
             rows.append([
-                int(k), template.spectrum.magnitudes[k],
+                int(k), template.magnitudes[k],
                 stats.phase_mse[i], stats.phase_mse_stderr[i],
                 stats.predicted_mse_thm2[i], stats.mse_ratio_thm2[i],
             ])

@@ -4,7 +4,9 @@ Averaging pure-noise observations after aligning each to a template produces
 an estimate whose Fourier phases drift toward the template's -- the model
 bias this package studies.  The averaging and the per-bin phase errors are
 computed in :func:`efnlab.experiment.run_trial`; this module holds the
-finalized estimate and the correlation that compares it with the template.
+finalized estimate, with its complex unitary spectrum (read its magnitudes and
+phases through :func:`efnlab.signals.polar`), and the correlation that
+compares it with the template.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatchError, UndefinedCorrelationError
-from .signals import SpectralRepr, dft
+from .signals import dft
 
 
 @dataclass(frozen=True)
@@ -23,7 +25,7 @@ class EfnEstimate:
     """Finalized estimate: the average of the aligned observations."""
 
     samples: np.ndarray
-    spectrum: SpectralRepr
+    spectrum: np.ndarray  # complex, read-only: dft(samples)
     M: int
 
     @classmethod

@@ -29,8 +29,8 @@ import numpy as np
 from .errors import InsufficientDataError, InvalidArgumentError, entries, integral, real, typed
 from .alignment import align_rows, chunks
 from .estimator import EfnEstimate, pearson_correlation
-from .signals import SignalFamilySpec, TemplateSignal, generate_template, wrap_phase
-from .theory import AlignmentMoments, estimate_ck_profile, predict_magnitude, predict_phase_mse
+from .signals import SignalFamilySpec, TemplateSignal, generate_template, polar, wrap_phase
+from .theory import CK_MIN_DRAWS, AlignmentMoments, estimate_ck_profile, predict_magnitude, predict_phase_mse
 
 # Reserved single-element spawn key for the prediction Monte-Carlo; disjoint
 # from the (trial, 0) two-element keys used for noise streams.
@@ -93,7 +93,7 @@ class ExperimentConfig:
         if any(k > d - 1 for k in freqs) or len(set(freqs)) < len(freqs):
             raise InvalidArgumentError(f"frequencies must be distinct bins in [0, {d - 1}], got {freqs}")
         set_field("frequencies", freqs)
-        set_field("ck_trials", integral("ck_trials", self.ck_trials, 1000))
+        set_field("ck_trials", integral("ck_trials", self.ck_trials, CK_MIN_DRAWS))
         if self.sweep is not None:
             axis = typed("sweep", self.sweep, SweepSpec, "a sweep spec").axis
             family = _AXIS_FAMILY.get(axis, self.template.family)
@@ -263,11 +263,11 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> tuple:
     results = []
     for M, total in sums:
         xhat = total / M
-        spectrum = EfnEstimate.from_samples(xhat, M).spectrum
+        magnitudes, phases = polar(EfnEstimate.from_samples(xhat, M).spectrum[ks])
         results.append(TrialResult(
             trial_index=trial_index,
-            phase_errors=wrap_phase(spectrum.phases[ks] - template.spectrum.phases[ks]),
-            magnitudes=spectrum.magnitudes[ks],
+            phase_errors=wrap_phase(phases - template.phases[ks]),
+            magnitudes=magnitudes,
             pearson=pearson_correlation(xhat, template.samples),
             observations=M,
         ))

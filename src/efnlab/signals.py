@@ -1,9 +1,11 @@
-"""Signal representations and spectral machinery.
+"""Signals, their spectra and template generation.
 
 Everything downstream works with real length-d signals (d even) and their
 unitary DFTs: X[k] = (1/sqrt(d)) * sum_l x_l exp(-2j*pi*k*l/d).  With this
 convention a unit-norm signal has unit spectral energy (Parseval), so
-real-space and Fourier-space normalizations coincide.
+real-space and Fourier-space normalizations coincide.  A spectrum is a
+complex array; :func:`polar` gives its magnitudes and phases, at whichever
+bins a caller reads them.
 """
 
 from __future__ import annotations
@@ -31,67 +33,36 @@ def wrap_phase(phi):
     return np.pi - (np.pi - np.asarray(phi)) % (2.0 * np.pi)
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
 
-@dataclass(frozen=True)
-class SpectralRepr:
-    """Magnitude/phase pairs of a length-d spectrum.
+def dft(samples) -> np.ndarray:
+    """Unitary DFT of a real signal: the read-only complex array fft(x) / sqrt(d).
+    A signal that is not 1-d with d >= 2 raises InvalidArgumentError."""
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1 or x.size < 2:
+        raise InvalidArgumentError("dft requires a 1-d signal with d >= 2")
+    return _readonly(np.fft.fft(x) / math.sqrt(x.size), complex)
+
+
+def idft(spectrum) -> np.ndarray:
+    """Inverse of :func:`dft`; returns the real signal."""
+    z = np.asarray(spectrum, dtype=complex)
+    return np.fft.ifft(z * math.sqrt(z.size)).real
+
+
+def polar(spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """(magnitudes, phases) of a complex spectrum.
 
     Phases are wrapped to (-pi, pi] and set to 0 at bins whose magnitude is
     exactly zero (those bins carry no phase information).
     """
-
-    magnitudes: np.ndarray
-    phases: np.ndarray
-
-    def __post_init__(self):
-        mags = _readonly(self.magnitudes)
-        phs = _readonly(wrap_phase(self.phases))
-        if mags.ndim != 1 or mags.shape != phs.shape:
-            raise InvalidArgumentError("magnitudes and phases must be 1-d and equal length")
-        if np.any(mags < 0):
-            raise InvalidArgumentError("magnitudes must be nonnegative")
-        object.__setattr__(self, "magnitudes", mags)
-        object.__setattr__(self, "phases", phs)
-
-    @property
-    def d(self) -> int:
-        return self.magnitudes.size
-
-    def to_complex(self) -> np.ndarray:
-        return self.magnitudes * np.exp(1j * self.phases)
-
-    @classmethod
-    def from_complex(cls, z: np.ndarray) -> "SpectralRepr":
-        z = np.asarray(z, dtype=complex)
-        mags = np.abs(z)
-        phases = np.where(mags == 0.0, 0.0, np.angle(z))
-        return cls(mags, wrap_phase(phases))
-
-
-def dft(samples) -> SpectralRepr:
-    """Unitary DFT of a real signal, in magnitude/phase form.
-
-    Raises
-    ------
-    InvalidArgumentError
-        If the input is empty or shorter than 2 samples.
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise InvalidArgumentError("dft requires a 1-d signal with d >= 2")
-    z = np.fft.fft(x) / math.sqrt(x.size)
-    return SpectralRepr.from_complex(z)
-
-
-def idft(spectrum: SpectralRepr) -> np.ndarray:
-    """Inverse of :func:`dft`; returns the real signal."""
-    z = spectrum.to_complex()
-    return np.fft.ifft(z * math.sqrt(spectrum.d)).real
+    z = np.asarray(spectrum, dtype=complex)
+    mags = np.abs(z)
+    return mags, wrap_phase(np.where(mags == 0.0, 0.0, np.angle(z)))
 
 
 def circular_shift(signal, ell: int) -> np.ndarray:
@@ -100,7 +71,8 @@ def circular_shift(signal, ell: int) -> np.ndarray:
 
 
 class TemplateSignal:
-    """Unit-norm real template with cached spectrum.
+    """Unit-norm real template with its spectrum's read-only ``magnitudes``
+    and ``phases``.
 
     Parameters
     ----------
@@ -124,9 +96,8 @@ class TemplateSignal:
             raise InvalidArgumentError(f"template must have unit norm (got {nrm!r})")
         self.samples = x
         self.d = x.size
-        self.spectrum = dft(x)
-        mags = self.spectrum.magnitudes
-        self.non_vanishing = bool(mags[1:].min() > NON_VANISHING_FLOOR * mags.max())
+        self.magnitudes, self.phases = map(_readonly, polar(dft(x)))
+        self.non_vanishing = bool(self.magnitudes[1:].min() > NON_VANISHING_FLOOR * self.magnitudes.max())
 
     @classmethod
     def normalized(cls, samples) -> "TemplateSignal":
@@ -150,7 +121,7 @@ class TemplateSignal:
         (in particular a zeroed DC bin is excluded from phase statistics)."""
         if not (0 <= k <= self.d - 1):
             raise InvalidArgumentError(f"frequency index {k} out of range for d={self.d}")
-        mags = self.spectrum.magnitudes
+        mags = self.magnitudes
         if mags[k] <= NON_VANISHING_FLOOR * mags.max():
             raise ExcludedBinError(
                 f"bin {k} excluded: template magnitude {mags[k]:.3e} is at or below the floor"
@@ -268,12 +239,12 @@ def generate_template(spec: SignalFamilySpec) -> TemplateSignal:
 def signal_to_json(samples) -> str:
     """The signal's {d, samples, magnitudes, phases} record as indented JSON."""
     x = np.asarray(samples, dtype=float)
-    spec = dft(x)
+    mags, phases = polar(dft(x))
     record = {
         "d": int(x.size),
         "samples": x.tolist(),
-        "magnitudes": spec.magnitudes.tolist(),
-        "phases": spec.phases.tolist(),
+        "magnitudes": mags.tolist(),
+        "phases": phases.tolist(),
     }
     return json.dumps(record, indent=2)
 

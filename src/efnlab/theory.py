@@ -21,6 +21,9 @@ from .alignment import align_rows, chunks
 from .errors import InvalidArgumentError
 from .signals import TemplateSignal
 
+#: Fewest draws :func:`estimate_ck_profile` accepts.
+CK_MIN_DRAWS = 1000
+
 
 # ---------------------------------------------------------------------------
 # Conditional Gaussian construction
@@ -64,7 +67,7 @@ def build_conditional_gaussian(
         raise InvalidArgumentError(f"frequency index {k} out of range for d={d}")
     if noise_magnitude < 0:
         raise InvalidArgumentError("noise magnitude must be nonnegative")
-    w = template.spectrum.magnitudes.astype(float) ** 2
+    w = template.magnitudes**2
     t = 2.0 * w
     t[0] = w[0]
     t[d // 2] = w[d // 2]
@@ -75,8 +78,8 @@ def build_conditional_gaussian(
         raise InvalidArgumentError("covariance weights vanish; template has no usable spectrum")
     sigma2 = 1.0 / total
     r = np.arange(d)
-    phase = 2.0 * np.pi * k * r / d + noise_phase - template.spectrum.phases[k]
-    mean = 2.0 * template.spectrum.magnitudes[k] * noise_magnitude * np.cos(phase)
+    phase = 2.0 * np.pi * k * r / d + noise_phase - template.phases[k]
+    mean = 2.0 * template.magnitudes[k] * noise_magnitude * np.cos(phase)
     return ConditionalGaussian(
         mean=mean,
         spectral_eigenvalues=sigma2 * t,
@@ -200,7 +203,7 @@ def alignment_moments(
         raise InvalidArgumentError("requested frequency outside [0, d-1]")
     upper = kset > d // 2
     bins = np.where(upper, d - kset, kset)
-    frame = np.exp(-1j * template.spectrum.phases[kset]) / math.sqrt(d)
+    frame = np.exp(-1j * template.phases[kset]) / math.sqrt(d)
     roots = np.exp(2j * np.pi * np.arange(d) / d)
     rng = np.random.default_rng(seed)
 
@@ -249,14 +252,14 @@ def estimate_ck_profile(
     template: TemplateSignal, trials: int, seed, *, sigma: float = 1.0, ks: Sequence[int],
 ) -> AlignmentMoments:
     """The alignment moments and C_k at several frequencies, from at least
-    1000 draws.
+    :data:`CK_MIN_DRAWS` draws.
 
     The numerator of C_k is the plain second moment of the sine term: its
     mean is 0 by the sign-flip symmetry of the argmax, so the second moment
     equals the variance the limit theorem wants.
     """
-    if trials < 1000:
-        raise InvalidArgumentError("estimate_ck_profile needs at least 1000 trials")
+    if trials < CK_MIN_DRAWS:
+        raise InvalidArgumentError(f"estimate_ck_profile needs at least {CK_MIN_DRAWS} trials")
     return alignment_moments(template, trials, seed, sigma=sigma, ks=ks)
 
 
@@ -277,7 +280,7 @@ def predict_phase_mse(template: TemplateSignal, k: int, M: int) -> float:
     if M < 1:
         raise InvalidArgumentError("M must be >= 1")
     template.require_bin(k)
-    return 1.0 / (4.0 * template.spectrum.magnitudes[k] ** 2 * M * math.log(template.d))
+    return 1.0 / (4.0 * template.magnitudes[k] ** 2 * M * math.log(template.d))
 
 
 def predict_magnitude(template: TemplateSignal, k: int) -> float:
@@ -290,4 +293,4 @@ def predict_magnitude(template: TemplateSignal, k: int) -> float:
     Monte-Carlo E[|N[k]| cos(phi_e[k])], ``mu_b`` of
     :func:`estimate_ck_profile`.
     """
-    return math.sqrt(2.0 * math.log(template.d)) * float(template.spectrum.magnitudes[k])
+    return math.sqrt(2.0 * math.log(template.d)) * float(template.magnitudes[k])

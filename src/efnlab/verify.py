@@ -6,6 +6,7 @@ pass/fail table and the test suite can assert on the same numbers.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from .signals import (
     dft,
     generate_template,
     idft,
+    polar,
     wrap_phase,
 )
 from .theory import (
@@ -88,8 +90,8 @@ def alignment_suite(cases: int = 1000, d: int = 64, seed=12345) -> list[CheckRow
         direct = correlation_oracle(noise, template)
         scale = np.abs(direct).max()
         worst_rel = max(worst_rel, float(np.abs(fast - direct).max() / scale))
-        polar = fourier_correlation_sequence(noise, template)
-        agree += int(np.argmax(fast) == np.argmax(polar))
+        fourier = fourier_correlation_sequence(noise, template)
+        agree += int(np.argmax(fast) == np.argmax(fourier))
 
         y = rng.standard_normal(d)
         back = idft(dft(y))
@@ -101,12 +103,12 @@ def alignment_suite(cases: int = 1000, d: int = 64, seed=12345) -> list[CheckRow
         group_ok += int(np.array_equal(lhs, rhs))
 
         ell = int(rng.integers(0, d))
-        sy = dft(circular_shift(y, ell))
-        base = dft(y)
-        keep = base.magnitudes > 1e-9
+        shifted = polar(dft(circular_shift(y, ell)))[1]
+        mags, phases = polar(dft(y))
+        keep = mags > 1e-9
         k = np.arange(d)[keep]
-        expected = base.phases[keep] - 2.0 * np.pi * k * ell / d
-        defect = np.abs(wrap_phase(sy.phases[keep] - expected)).max(initial=0.0)
+        expected = phases[keep] - 2.0 * np.pi * k * ell / d
+        defect = np.abs(wrap_phase(shifted[keep] - expected)).max(initial=0.0)
         worst_duality = max(worst_duality, float(defect))
 
     return [
@@ -183,7 +185,7 @@ def prop3_case(d: int, draws: int, seed) -> tuple[float, float]:
     cg = build_conditional_gaussian(template, PROP3_K, PROP3_NOISE_MAG, PROP3_NOISE_PHASE)
     r = np.arange(d)
     f = np.cos(
-        2.0 * np.pi * PROP3_K * r / d + PROP3_NOISE_PHASE - template.spectrum.phases[PROP3_K]
+        2.0 * np.pi * PROP3_K * r / d + PROP3_NOISE_PHASE - template.phases[PROP3_K]
     )
     soft = softmax_expectation(f, cg.mean)
     rng = np.random.default_rng(seed)
@@ -315,27 +317,30 @@ MIN_COUNTS = {
 
 
 def _accepted(fn, overrides: dict) -> dict:
-    import inspect
-
     params = inspect.signature(fn).parameters
-    return {k: v for k, v in overrides.items() if k in params and v is not None}
+    return {k: v for k, v in overrides.items() if k in params}
 
 
 def run_suite(name: str, **overrides) -> list[CheckRow]:
-    """Run one named suite (or 'all'); unknown override keys are ignored per suite.
+    """Run one named suite, or 'all' with each suite taking the overrides it
+    has parameters for.
 
-    Overrides are checked before any suite runs.
+    Overrides are checked before any suite runs: a named suite rejects one it
+    does not take, and every count must reach its suite's minimum.
     """
     if name != "all" and name not in SUITES:
         raise InvalidArgumentError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     names = list(SUITES) if name == "all" else [name]
+    given = {k: v for k, v in overrides.items() if v is not None}
+    unused = sorted(given.keys() - _accepted(SUITES[name], given).keys()) if name != "all" else []
+    if unused:
+        raise InvalidArgumentError(f"{name} takes no --{', --'.join(unused)}")
     for suite in names:
         for key, least in MIN_COUNTS[suite].items():
-            given = overrides.get(key)
-            if given is not None and given < least:
-                raise InvalidArgumentError(f"{suite} needs --{key} >= {least}, got {given}")
+            if given.get(key, least) < least:
+                raise InvalidArgumentError(f"{suite} needs --{key} >= {least}, got {given[key]}")
     rows = []
     for suite in names:
         fn = SUITES[suite]
-        rows.extend(fn(**_accepted(fn, overrides)))
+        rows.extend(fn(**_accepted(fn, given)))
     return rows

@@ -53,11 +53,25 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "d must be even" in capsys.readouterr().err
 
-    def test_malformed_json_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"{not json", "config: line 1"),
+            # raw text: json.dumps cannot write an integer past the 4300-digit limit
+            (b'{"sigma": 1' + b"0" * 5000 + b"}", "config: Exceeds the limit"),
+            (None, "config: "),  # the OS error text varies by platform
+            (b'{"M": "\xff"}', "config: 'utf-8' codec can't decode"),
+        ],
+        ids=["not-json", "huge-integer", "directory", "not-utf8"],
+    )
+    def test_malformed_json_is_usage_error(self, tmp_path, capsys, content, message):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text("{not json")
+        if content is None:
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(content)
         assert main(["run", "--config", str(cfg)]) == 2
-        assert "line" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
@@ -344,6 +358,7 @@ class TestVerify:
             (["prop3", "--draws", "0"], "--draws >= 1"),
             (["prop3", "--draws", "-5"], "--draws >= 1"),
             (["symmetry", "--draws", "1"], "--draws >= 2"),
+            (["gumbel", "--draws", "5"], "gumbel takes no --draws"),
         ],
     )
     def test_count_below_suite_minimum_is_usage_error(self, capsys, argv, needs):

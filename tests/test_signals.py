@@ -13,13 +13,13 @@ from efnlab.errors import InvalidArgumentError
 
 class TestDft:
     def test_delta_has_flat_spectrum(self):
-        spec = E.dft([1.0, 0.0, 0.0, 0.0])
-        np.testing.assert_allclose(spec.magnitudes, [0.5, 0.5, 0.5, 0.5], atol=1e-15)
-        np.testing.assert_allclose(spec.phases, 0.0, atol=1e-15)
+        mags, phases = E.polar(E.dft([1.0, 0.0, 0.0, 0.0]))
+        np.testing.assert_allclose(mags, [0.5, 0.5, 0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(phases, 0.0, atol=1e-15)
 
     def test_constant_signal_is_all_dc(self):
-        spec = E.dft([0.5, 0.5, 0.5, 0.5])
-        np.testing.assert_allclose(spec.magnitudes, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
+        mags, _ = E.polar(E.dft([0.5, 0.5, 0.5, 0.5]))
+        np.testing.assert_allclose(mags, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_matches_direct_summation_oracle(self):
         # O(d^2) evaluation of the transform definition, unitary scale.
@@ -29,10 +29,10 @@ class TestDft:
         direct = np.array(
             [sum(y[l] * np.exp(-2j * np.pi * k * l / d) for l in range(d)) for k in range(d)]
         ) / math.sqrt(d)
-        spec = E.dft(y)
-        np.testing.assert_allclose(spec.magnitudes, np.abs(direct), atol=1e-10)
+        mags, phases = E.polar(E.dft(y))
+        np.testing.assert_allclose(mags, np.abs(direct), atol=1e-10)
         np.testing.assert_allclose(
-            E.wrap_phase(spec.phases - np.angle(direct)), 0.0, atol=1e-10
+            E.wrap_phase(phases - np.angle(direct)), 0.0, atol=1e-10
         )
 
     def test_round_trip(self):
@@ -51,7 +51,7 @@ class TestDft:
         for s in specs:
             t = E.generate_template(s)
             energy_real = float(t.samples @ t.samples)
-            energy_fourier = float((t.spectrum.magnitudes**2).sum())
+            energy_fourier = float((t.magnitudes**2).sum())
             assert abs(energy_real - energy_fourier) <= 1e-10
             assert abs(energy_fourier - 1.0) <= 1e-10
 
@@ -62,18 +62,26 @@ class TestDft:
     def test_conjugate_symmetry_of_real_spectra(self):
         rng = np.random.default_rng(21)
         for d in (6, 32):
-            spec = E.dft(rng.standard_normal(d))
+            mags, phases = E.polar(E.dft(rng.standard_normal(d)))
             k = np.arange(1, d)
-            np.testing.assert_allclose(spec.magnitudes[k], spec.magnitudes[d - k], rtol=0, atol=1e-9)
-            defect = E.wrap_phase(spec.phases[k] + spec.phases[d - k])
+            np.testing.assert_allclose(mags[k], mags[d - k], rtol=0, atol=1e-9)
+            defect = E.wrap_phase(phases[k] + phases[d - k])
             np.testing.assert_allclose(defect, 0.0, rtol=0, atol=1e-9)
 
     def test_real_bins_have_zero_or_pi_phase(self):
         rng = np.random.default_rng(4)
-        spec = E.dft(rng.standard_normal(16))
+        mags, phases = E.polar(E.dft(rng.standard_normal(16)))
         for k in (0, 8):
-            if spec.magnitudes[k] > 1e-12:
-                assert min(abs(spec.phases[k]), abs(abs(spec.phases[k]) - np.pi)) <= 1e-12
+            if mags[k] > 1e-12:
+                assert min(abs(phases[k]), abs(abs(phases[k]) - np.pi)) <= 1e-12
+        # a zero bin has phase +0 whatever the signs of its zero parts, where
+        # np.angle gives pi, -pi or -0; an angle of exactly -pi reads as pi
+        signed_zeros = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+        assert sorted(np.angle(signed_zeros).tolist()) == [-np.pi, -0.0, np.pi]
+        mags, phases = E.polar(np.append(signed_zeros, complex(-2.0, -0.0)))
+        np.testing.assert_array_equal(mags, [0.0, 0.0, 0.0, 2.0])
+        np.testing.assert_array_equal(phases, [0.0, 0.0, 0.0, np.pi])
+        assert not np.signbit(phases).any()
 
 
 class TestWrapPhase:
@@ -117,13 +125,13 @@ class TestCircularShift:
             d = 32
             y = rng.standard_normal(d)
             ell = int(rng.integers(0, d))
-            base = E.dft(y)
-            shifted = E.dft(E.circular_shift(y, ell))
-            keep = base.magnitudes > 1e-9
+            mags, phases = E.polar(E.dft(y))
+            _, shifted = E.polar(E.dft(E.circular_shift(y, ell)))
+            keep = mags > 1e-9
             k = np.arange(d)[keep]
-            expected = base.phases[keep] - 2.0 * np.pi * k * ell / d
+            expected = phases[keep] - 2.0 * np.pi * k * ell / d
             np.testing.assert_allclose(
-                E.wrap_phase(shifted.phases[keep] - expected), 0.0, atol=1e-8
+                E.wrap_phase(shifted[keep] - expected), 0.0, atol=1e-8
             )
 
 
@@ -158,7 +166,7 @@ class TestGenerateTemplate:
     def test_delta_construction(self):
         t = E.generate_template(E.SignalFamilySpec(family="delta", d=8))
         np.testing.assert_array_equal(t.samples, np.eye(8)[0])
-        np.testing.assert_allclose(t.spectrum.magnitudes, 1.0 / math.sqrt(8), atol=1e-14)
+        np.testing.assert_allclose(t.magnitudes, 1.0 / math.sqrt(8), atol=1e-14)
 
     def test_deterministic_given_seed(self):
         spec = E.SignalFamilySpec(family="power-law-psd", d=16, beta=0.0, phase_seed=7)
@@ -171,7 +179,7 @@ class TestGenerateTemplate:
         t = E.generate_template(
             E.SignalFamilySpec(family="power-law-psd", d=64, beta=2.0, phase_seed=1, zero_dc=False)
         )
-        m = t.spectrum.magnitudes
+        m = t.magnitudes
         assert (m[1] / m[8]) ** 2 == pytest.approx(20.25, abs=1e-9)
 
     def test_zero_dc_flag(self):
@@ -179,8 +187,8 @@ class TestGenerateTemplate:
         off = E.generate_template(
             E.SignalFamilySpec(family="power-law-psd", d=32, beta=1.0, zero_dc=False)
         )
-        assert on.spectrum.magnitudes[0] <= 1e-14
-        assert off.spectrum.magnitudes[0] > 0.1
+        assert on.magnitudes[0] <= 1e-14
+        assert off.magnitudes[0] > 0.1
 
     def test_zero_padded_pulse_stays_alignable(self):
         for pad in (0.0, 1.0, 3.0):
@@ -227,8 +235,9 @@ class TestTemplateInvariants:
 
     def test_samples_read_only(self):
         t = E.generate_template(E.SignalFamilySpec(family="delta", d=8))
-        with pytest.raises(ValueError):
-            t.samples[0] = 2.0
+        for values in (t.samples, t.magnitudes, t.phases, E.dft(t.samples)):
+            with pytest.raises(ValueError):
+                values[0] = 2.0
 
 
 class TestNoiseDistribution:
@@ -254,8 +263,8 @@ class TestSerialization:
         t = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=16, beta=1.0))
         rec = json.loads(E.signal_to_json(t.samples))
         assert rec["d"] == 16
-        np.testing.assert_array_equal(rec["magnitudes"], t.spectrum.magnitudes)
-        np.testing.assert_array_equal(rec["phases"], t.spectrum.phases)
+        np.testing.assert_array_equal(rec["magnitudes"], t.magnitudes)
+        np.testing.assert_array_equal(rec["phases"], t.phases)
         np.testing.assert_array_equal(rec["samples"], t.samples)
 
     def test_csv_round_trip(self):
