@@ -42,8 +42,6 @@ from .signals import (
     generate_template,
     idft,
     polar,
-    signal_to_csv,
-    signal_to_json,
     wrap_phase,
 )
 from .theory import (

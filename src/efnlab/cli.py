@@ -12,7 +12,8 @@ version       Print the tool version.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error.  Flags
 override config fields; precedence is flags > config > defaults.  The worker
-count comes from --threads, then the EFN_THREADS environment variable.
+count comes from --threads, then the EFN_THREADS environment variable.  This
+is the one module that knows a file format.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import platform
 import sys
@@ -32,17 +34,26 @@ import numpy as np
 from . import __version__
 from .errors import InvalidArgumentError
 from .experiment import (
-    CSV_COLUMNS,
+    AggregateStats,
     ExperimentConfig,
     SweepSpec,
     Telemetry,
     run_experiment,
     run_sweep,
 )
-from .signals import SignalFamilySpec, generate_template, signal_to_csv, signal_to_json
+from .signals import SignalFamilySpec, generate_template
 from .verify import run_suite
 
 _FIGURE_IDS = ("2b", "2c", "3", "4b", "4c")
+
+#: The per-frequency statistics, in the order ``summary.json`` lists them.
+STATS_COLUMNS = (
+    "phase_mse", "phase_mse_stderr", "mean_magnitude", "magnitude_stderr",
+    "predicted_mse_thm1", "predicted_mse_thm1_stderr", "predicted_mse_thm2",
+    "predicted_magnitude_thm1", "predicted_magnitude_thm2",
+)
+#: The columns of ``stats.csv`` after any sweep-axis column.
+CSV_COLUMNS = ("k", *STATS_COLUMNS, "mse_ratio_thm2")
 
 
 def _fmt(v) -> str:
@@ -57,9 +68,33 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             w.writerow([_fmt(v) for v in row])
 
 
+def _write_json(path: Path, doc) -> None:
+    path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+
+
+def _stats_rows(stats: AggregateStats, columns=CSV_COLUMNS[1:]) -> list[list]:
+    """One row per frequency: the bin ``int(k)``, then the named statistics."""
+    cols = [getattr(stats, c) for c in columns]
+    return [[int(k), *(v[i] for v in cols)] for i, k in enumerate(stats.ks)]
+
+
+def _summary(stats: AggregateStats) -> dict:
+    """The ``summary.json`` record of one experiment; a non-finite value is null."""
+    def value(v):
+        return v if math.isfinite(v) else None
+
+    return {
+        "n_trials": stats.n_trials,
+        "mean_pearson": value(stats.mean_pearson),
+        "pearson_stderr": value(stats.pearson_stderr),
+        "frequencies": [int(k) for k in stats.ks],
+        **{c: [value(v) for v in getattr(stats, c).tolist()] for c in STATS_COLUMNS},
+    }
+
+
 def _write_manifest(
     out_dir: Path, command: str, config_doc: dict, outputs: list[Path], t0: float, telemetry: Telemetry
-) -> Path:
+) -> None:
     manifest = {
         "command": command,
         "config": config_doc,
@@ -78,9 +113,7 @@ def _write_manifest(
             "ck_draws": telemetry.ck_draws,
         },
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return path
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _resolve_workers(args) -> int:
@@ -104,7 +137,7 @@ def _load_config(path: str, args) -> ExperimentConfig:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise InvalidArgumentError(f"config: line {e.lineno}: {e.msg}") from e
-    except (OSError, ValueError) as e:  # unreadable, not UTF-8, or a number json cannot convert
+    except (OSError, ValueError, RecursionError) as e:  # unreadable, undecodable, or nested too deep
         raise InvalidArgumentError(f"config: {e}") from e
     if not isinstance(doc, dict):
         raise InvalidArgumentError("config: the top level must be a JSON object")
@@ -127,17 +160,15 @@ def cmd_run(args) -> int:
     json_path = out_dir / "summary.json"
     if config.sweep is None:
         stats = run_experiment(config, workers, telemetry)
-        header = list(CSV_COLUMNS)
-        rows = [list(rec.values()) for rec in stats.rows()]
-        summary = stats.summary()
+        header, rows, summary = list(CSV_COLUMNS), _stats_rows(stats), _summary(stats)
     else:
         header = [config.sweep.axis, *CSV_COLUMNS]
         rows, summary = [], []
         for value, stats in run_sweep(config, workers, telemetry):
-            rows.extend([value, *rec.values()] for rec in stats.rows())
-            summary.append({"value": value, **stats.summary()})
+            rows.extend([value, *row] for row in _stats_rows(stats))
+            summary.append({"value": value, **_summary(stats)})
     _write_csv(csv_path, header, rows)
-    json_path.write_text(json.dumps(summary, indent=2) + "\n")
+    _write_json(json_path, summary)
     _write_manifest(out_dir, "run", config.to_dict(), [csv_path, json_path], t0, telemetry)
     print(f"wrote {csv_path} and {json_path}")
     return 0
@@ -186,21 +217,15 @@ def cmd_figure(args) -> int:
     csv_path = out_dir / f"figure{args.figure}.csv"
 
     if args.figure in ("2b", "2c"):
-        results = run_sweep(config, workers, telemetry)
-        header = ["M", "k", "mse", "stderr"]
+        header, columns = ["M", "k", "mse", "stderr"], ["phase_mse", "phase_mse_stderr"]
         if args.figure == "2c":
             header += ["thm2_prediction", "thm1_prediction", "thm1_prediction_stderr"]
-        rows = []
-        for M, stats in results:
-            for i, k in enumerate(stats.ks):
-                row = [int(M), int(k), stats.phase_mse[i], stats.phase_mse_stderr[i]]
-                if args.figure == "2c":
-                    row += [
-                        stats.predicted_mse_thm2[i],
-                        stats.predicted_mse_thm1[i],
-                        stats.predicted_mse_thm1_stderr[i],
-                    ]
-                rows.append(row)
+            columns += ["predicted_mse_thm2", "predicted_mse_thm1", "predicted_mse_thm1_stderr"]
+        rows = [
+            [int(M), *row]
+            for M, stats in run_sweep(config, workers, telemetry)
+            for row in _stats_rows(stats, columns)
+        ]
     elif args.figure in ("3", "4b"):
         results = run_sweep(config, workers, telemetry)
         axis = config.sweep.axis
@@ -210,13 +235,8 @@ def cmd_figure(args) -> int:
         stats = run_experiment(config, workers, telemetry)
         template = generate_template(config.template)
         header = ["k", "template_magnitude", "mse", "stderr", "thm2_prediction", "mse_ratio_thm2"]
-        rows = []
-        for i, k in enumerate(stats.ks):
-            rows.append([
-                int(k), template.magnitudes[k],
-                stats.phase_mse[i], stats.phase_mse_stderr[i],
-                stats.predicted_mse_thm2[i], stats.mse_ratio_thm2[i],
-            ])
+        columns = ["phase_mse", "phase_mse_stderr", "predicted_mse_thm2", "mse_ratio_thm2"]
+        rows = [[k, template.magnitudes[k], *rest] for k, *rest in _stats_rows(stats, columns)]
 
     _write_csv(csv_path, header, rows)
     _write_manifest(out_dir, f"figure {args.figure}", config.to_dict(), [csv_path], t0, telemetry)
@@ -252,9 +272,10 @@ def cmd_gen_template(args) -> int:
     template = generate_template(spec)
     out = Path(args.out)
     if out.suffix == ".csv":
-        out.write_text(signal_to_csv(template.samples))
+        _write_csv(out, ["sample"], [[v] for v in template.samples])
     else:
-        out.write_text(signal_to_json(template.samples) + "\n")
+        arrays = {name: getattr(template, name).tolist() for name in ("samples", "magnitudes", "phases")}
+        _write_json(out, {"d": template.d, **arrays})
     print(f"wrote {out}")
     return 0
 

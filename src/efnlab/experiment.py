@@ -159,16 +159,6 @@ class Telemetry:
     workers: int = 0  # most processes any one walk ran its trials on
 
 
-#: The per-frequency statistics, in the order ``summary.json`` lists them.
-STATS_COLUMNS = (
-    "phase_mse", "phase_mse_stderr", "mean_magnitude", "magnitude_stderr",
-    "predicted_mse_thm1", "predicted_mse_thm1_stderr", "predicted_mse_thm2",
-    "predicted_magnitude_thm1", "predicted_magnitude_thm2",
-)
-#: The columns of ``stats.csv`` after any sweep-axis column.
-CSV_COLUMNS = ("k", *STATS_COLUMNS, "mse_ratio_thm2")
-
-
 @dataclass(frozen=True)
 class AggregateStats:
     """Per-frequency statistics over all trials, with analytic predictions."""
@@ -189,29 +179,8 @@ class AggregateStats:
     predicted_magnitude_thm2: np.ndarray
 
     @property
-    def mse_ratio_thm1(self) -> np.ndarray:
-        return self.phase_mse / self.predicted_mse_thm1
-
-    @property
     def mse_ratio_thm2(self) -> np.ndarray:
         return self.phase_mse / self.predicted_mse_thm2
-
-    def rows(self) -> list[dict]:
-        """One dict per frequency, keyed by :data:`CSV_COLUMNS` (CSV-ready)."""
-        cols = [getattr(self, c) for c in CSV_COLUMNS[1:]]
-        return [
-            {"k": int(k), **{c: v[i] for c, v in zip(CSV_COLUMNS[1:], cols)}}
-            for i, k in enumerate(self.ks)
-        ]
-
-    def summary(self) -> dict:
-        return {
-            "n_trials": self.n_trials,
-            "mean_pearson": self.mean_pearson,
-            "pearson_stderr": self.pearson_stderr,
-            "frequencies": [int(k) for k in self.ks],
-            **{c: getattr(self, c).tolist() for c in STATS_COLUMNS},
-        }
 
 
 def observation_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -274,22 +243,15 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> tuple:
     return tuple(results)
 
 
-def _ck_profile(config: ExperimentConfig, template: TemplateSignal) -> AlignmentMoments:
-    """The C_k profile at the config's frequencies; it does not depend on M."""
-    ck_seed = np.random.SeedSequence(config.master_seed, spawn_key=(_CK_SEED_LANE,))
-    ks = np.asarray(config.frequencies, dtype=int)
-    return estimate_ck_profile(template, config.ck_trials, ck_seed, sigma=config.sigma, ks=ks)
-
-
 def aggregate_trials(
     config: ExperimentConfig,
     results: Sequence[TrialResult],
-    profile: Optional[AlignmentMoments] = None,
+    profile: Optional[AlignmentMoments],
 ) -> AggregateStats:
     """Fold trial results (in trial-index order) into aggregate statistics.
 
-    ``profile`` is the config's C_k profile; it is estimated here when not
-    given.  The thm1 predictions are its C_k over the config's M.
+    ``profile`` is the config's C_k profile (None when the config has no
+    frequencies); the thm1 predictions are its C_k over the config's M.
     """
     results = sorted(results, key=lambda r: r.trial_index)
     n = len(results)
@@ -307,8 +269,6 @@ def aggregate_trials(
         mse_se = sq.std(0, ddof=1) / math.sqrt(n) if n > 1 else np.full(ks.size, np.nan)
         mag_mean = mags.mean(0)
         mag_se = mags.std(0, ddof=1) / math.sqrt(n) if n > 1 else np.full(ks.size, np.nan)
-        if profile is None:
-            profile = _ck_profile(config, template)
         pred1 = profile.ck / config.M
         pred1_se = profile.ck_stderr / config.M
         pred1_mag = profile.mu_b
@@ -350,7 +310,11 @@ def _walk(config: ExperimentConfig, workers: int, telemetry: Optional[Telemetry]
     else:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             walks = list(pool.map(run_trial, [config] * config.trials, range(config.trials)))
-    profile = _ck_profile(config, template) if config.frequencies else None
+    profile = None
+    if config.frequencies:  # the C_k profile does not depend on M
+        ck_seed = np.random.SeedSequence(config.master_seed, spawn_key=(_CK_SEED_LANE,))
+        ks = np.asarray(config.frequencies, dtype=int)
+        profile = estimate_ck_profile(template, config.ck_trials, ck_seed, sigma=config.sigma, ks=ks)
     if telemetry is not None:
         telemetry.trials += len(walks)
         telemetry.observations += sum(w[-1].observations for w in walks)

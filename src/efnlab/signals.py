@@ -10,9 +10,6 @@ bins a caller reads them.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -230,31 +227,4 @@ def generate_template(spec: SignalFamilySpec) -> TemplateSignal:
     if spec.zero_dc:
         mag[0] = 0.0
     return TemplateSignal(_synthesize(mag, ph, d))
-
-
-# ---------------------------------------------------------------------------
-# Serialization: a {d, samples, magnitudes, phases} JSON record, or CSV samples.
-# ---------------------------------------------------------------------------
-
-def signal_to_json(samples) -> str:
-    """The signal's {d, samples, magnitudes, phases} record as indented JSON."""
-    x = np.asarray(samples, dtype=float)
-    mags, phases = polar(dft(x))
-    record = {
-        "d": int(x.size),
-        "samples": x.tolist(),
-        "magnitudes": mags.tolist(),
-        "phases": phases.tolist(),
-    }
-    return json.dumps(record, indent=2)
-
-
-def signal_to_csv(samples) -> str:
-    """One sample per row."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["sample"])
-    for v in np.asarray(samples, dtype=float):
-        w.writerow([repr(float(v))])
-    return buf.getvalue()
 

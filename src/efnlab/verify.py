@@ -339,6 +339,8 @@ def run_suite(name: str, **overrides) -> list[CheckRow]:
         for key, least in MIN_COUNTS[suite].items():
             if given.get(key, least) < least:
                 raise InvalidArgumentError(f"{suite} needs --{key} >= {least}, got {given[key]}")
+    if given.get("seed", 0) < 0:
+        raise InvalidArgumentError(f"{name} needs --seed >= 0, got {given['seed']}")
     rows = []
     for suite in names:
         fn = SUITES[suite]

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, output files, reproducibility."""
 
 import argparse
+import csv
 import importlib.util
 import json
 import os
@@ -15,6 +16,7 @@ import pytest
 from efnlab import cli, experiment, verify
 from efnlab.cli import main
 from efnlab.experiment import ExperimentConfig
+from efnlab.signals import SignalFamilySpec, generate_template
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -61,8 +63,9 @@ class TestRun:
             (b'{"sigma": 1' + b"0" * 5000 + b"}", "config: Exceeds the limit"),
             (None, "config: "),  # the OS error text varies by platform
             (b'{"M": "\xff"}', "config: 'utf-8' codec can't decode"),
+            (b"[" * 100_000 + b"]" * 100_000, "config: maximum recursion depth exceeded"),
         ],
-        ids=["not-json", "huge-integer", "directory", "not-utf8"],
+        ids=["not-json", "huge-integer", "directory", "not-utf8", "too-deep"],
     )
     def test_malformed_json_is_usage_error(self, tmp_path, capsys, content, message):
         cfg = tmp_path / "cfg.json"
@@ -72,6 +75,35 @@ class TestRun:
             cfg.write_bytes(content)
         assert main(["run", "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_one_trial_summary_is_strict_json(self, tmp_path):
+        # one trial has no standard errors: null in summary.json, nan in stats.csv
+        cfg = write_config(tmp_path / "cfg.json", trials=1)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["pearson_stderr"] is None
+        assert summary["phase_mse_stderr"] == summary["magnitude_stderr"] == [None, None]
+        assert all(np.isfinite(summary["phase_mse"]))
+        with (out / "stats.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["phase_mse_stderr"] for row in rows] == ["nan", "nan"]
+
+    def test_stats_csv_agrees_with_summary(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", trials=2)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        with (out / "stats.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(row["k"]) for row in rows] == summary["frequencies"] == [1, 2]
+        for column in cli.STATS_COLUMNS:
+            assert [float(row[column]) for row in rows] == summary[column]
+        assert all(v > 0 for v in summary["predicted_mse_thm1_stderr"])
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
@@ -359,6 +391,8 @@ class TestVerify:
             (["prop3", "--draws", "-5"], "--draws >= 1"),
             (["symmetry", "--draws", "1"], "--draws >= 2"),
             (["gumbel", "--draws", "5"], "gumbel takes no --draws"),
+            (["alignment", "--seed", "-1", "--cases", "2"], "alignment needs --seed >= 0"),
+            (["gumbel", "--seed", "-3"], "gumbel needs --seed >= 0"),
         ],
     )
     def test_count_below_suite_minimum_is_usage_error(self, capsys, argv, needs):
@@ -384,16 +418,37 @@ class TestVerify:
 
 
 class TestGenTemplate:
+    SPECS = [
+        SignalFamilySpec(family="power-law-psd", d=32, beta=1.0),
+        SignalFamilySpec(family="zero-padded-pulse", d=64, pad_ratio=2.0, zero_dc=False),
+        SignalFamilySpec(family="delta", d=16),
+    ]
+
+    @staticmethod
+    def generate(spec, out):
+        argv = ["gen-template", "--family", spec.family, "--d", str(spec.d), "--beta", str(spec.beta),
+                "--pad-ratio", str(spec.pad_ratio), "--out", str(out)]
+        assert main(argv + ([] if spec.zero_dc else ["--keep-dc"])) == 0
+        return generate_template(spec)
+
     def test_json_output(self, tmp_path):
-        out = tmp_path / "t.json"
-        assert main(["gen-template", "--d", "32", "--beta", "1.0", "--out", str(out)]) == 0
-        rec = json.loads(out.read_text())
-        assert rec["d"] == 32 and len(rec["samples"]) == 32
+        # the record holds the template's own samples and spectrum, bit for bit
+        for spec in self.SPECS:
+            out = tmp_path / "t.json"
+            template = self.generate(spec, out)
+            rec = json.loads(out.read_text())
+            assert rec["d"] == spec.d and len(rec["samples"]) == spec.d
+            np.testing.assert_array_equal(rec["samples"], template.samples)
+            np.testing.assert_array_equal(rec["magnitudes"], template.magnitudes)
+            np.testing.assert_array_equal(rec["phases"], template.phases)
 
     def test_csv_output(self, tmp_path):
-        out = tmp_path / "t.csv"
-        assert main(["gen-template", "--d", "16", "--family", "delta", "--out", str(out)]) == 0
-        assert out.read_text().splitlines()[0] == "sample"
+        for spec in self.SPECS:
+            out = tmp_path / "t.csv"
+            template = self.generate(spec, out)
+            lines = out.read_text().splitlines()
+            assert lines[0] == "sample"
+            np.testing.assert_array_equal([float(v) for v in lines[1:]], template.samples)
 
     def test_bad_family_is_usage_error(self, tmp_path, capsys):
         assert main(["gen-template", "--d", "16", "--family", "x", "--out", str(tmp_path / "t.json")]) == 2

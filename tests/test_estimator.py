@@ -1,6 +1,5 @@
 """The running aligned sum, phase metrics, Pearson correlation."""
 
-import json
 import math
 
 import numpy as np
@@ -157,24 +156,24 @@ def trial_results(errors):
 class TestPhaseMse:
     """The phase MSE and its standard error that aggregate_trials reports."""
 
-    def config(self, d, k):
-        return E.ExperimentConfig(
-            template=plaw_spec(d), M=1, trials=1, frequencies=(k,), ck_trials=1000
-        )
+    def aggregate(self, d, k, errors):
+        config = E.ExperimentConfig(template=plaw_spec(d), M=1, trials=1, frequencies=(k,))
+        profile = E.estimate_ck_profile(E.generate_template(config.template), 1000, 0, ks=[k])
+        return E.aggregate_trials(config, trial_results(errors), profile)
 
     def test_zero_for_identical_trials(self):
-        stats = E.aggregate_trials(self.config(8, 2), trial_results([0.0] * 5))
+        stats = self.aggregate(8, 2, [0.0] * 5)
         assert stats.phase_mse[0] == 0.0
 
     def test_uniform_phases_give_pi2_over_3(self):
         # no alignment information: error uniform on (-pi, pi], MSE -> pi^2/3
         errors = E.wrap_phase(np.random.default_rng(77).uniform(-np.pi, np.pi, 10_000))
-        stats = E.aggregate_trials(self.config(4, 1), trial_results(errors))
+        stats = self.aggregate(4, 1, errors)
         assert abs(stats.phase_mse[0] - math.pi**2 / 3.0) <= 3.0 * stats.phase_mse_stderr[0]
 
     def test_needs_two_trials(self):
         # one trial gives an MSE but no standard error
-        stats = E.aggregate_trials(self.config(8, 1), trial_results([0.3]))
+        stats = self.aggregate(8, 1, [0.3])
         assert stats.phase_mse[0] == pytest.approx(0.09, abs=1e-15)
         assert math.isnan(stats.phase_mse_stderr[0])
 
@@ -201,16 +200,3 @@ class TestPearson:
         with pytest.raises(UndefinedCorrelationError):
             E.pearson_correlation(np.ones(8), np.arange(8.0))
 
-
-class TestEstimateSerialization:
-    def test_shares_the_signal_schema(self):
-        t = plaw(16, zero_dc=False)
-        est = E.EfnEstimate.from_samples(t.samples, 3)
-        rec = json.loads(E.signal_to_json(est.samples))
-        np.testing.assert_array_equal(rec["samples"], est.samples)
-        mags, phases = E.polar(est.spectrum)
-        np.testing.assert_array_equal(rec["magnitudes"], mags)
-        np.testing.assert_array_equal(rec["phases"], phases)
-        csv_rows = E.signal_to_csv(est.samples).splitlines()
-        assert csv_rows[0] == "sample"
-        np.testing.assert_array_equal([float(v) for v in csv_rows[1:]], est.samples)

@@ -1,6 +1,5 @@
-"""Signal core: transforms, shifts, template generation, serialization."""
+"""Signal core: transforms, shifts, template generation."""
 
-import json
 import math
 
 import numpy as np
@@ -257,19 +256,3 @@ class TestNoiseDistribution:
         stat = ((counts - expected) ** 2 / expected).sum()
         assert stat <= chi2.ppf(0.99, bins - 1)
 
-
-class TestSerialization:
-    def test_json_round_trip(self):
-        t = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=16, beta=1.0))
-        rec = json.loads(E.signal_to_json(t.samples))
-        assert rec["d"] == 16
-        np.testing.assert_array_equal(rec["magnitudes"], t.magnitudes)
-        np.testing.assert_array_equal(rec["phases"], t.phases)
-        np.testing.assert_array_equal(rec["samples"], t.samples)
-
-    def test_csv_round_trip(self):
-        rng = np.random.default_rng(0)
-        y = rng.standard_normal(12)
-        lines = E.signal_to_csv(y).splitlines()
-        assert lines[0] == "sample"
-        np.testing.assert_array_equal([float(v) for v in lines[1:]], y)

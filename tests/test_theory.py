@@ -254,10 +254,12 @@ class TestPredictions:
         assert p2 == p1 / 2.0
         # the fixed-d prediction is C_k / M from a profile that does not depend on M
         spec = E.SignalFamilySpec(family="delta", d=64)
+        profile = E.estimate_ck_profile(t, 1000, 0, ks=[3])
         q1, q2 = (
             E.aggregate_trials(
                 E.ExperimentConfig(template=spec, M=M, trials=2, frequencies=(3,), ck_trials=1000),
                 [E.TrialResult(i, np.zeros(1), np.ones(1), 0.5, M) for i in range(2)],
+                profile,
             ).predicted_mse_thm1[0]
             for M in (500, 1000)
         )
@@ -287,7 +289,7 @@ class TestPredictions:
         cfg = E.ExperimentConfig(
             template=spec, M=10, trials=2, master_seed=5, frequencies=(1, 2), ck_trials=5000
         )
-        stats = E.aggregate_trials(cfg, [E.run_trial(cfg, t)[0] for t in range(2)])
+        stats = E.run_experiment(cfg)
         ck_seed = np.random.SeedSequence(5, spawn_key=(experiment._CK_SEED_LANE,))
         profile = E.estimate_ck_profile(delta(8), 5000, ck_seed, ks=[1, 2])
         np.testing.assert_array_equal(stats.predicted_magnitude_thm1, profile.mu_b)
