@@ -1,5 +1,6 @@
-"""Signal core: transforms, shifts, template generation."""
+"""Signal core: transforms, shifts, template generation, the signal-file round trip."""
 
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy.stats import chi2
 
 import efnlab as E
+from efnlab.cli import main
 from efnlab.errors import InvalidArgumentError
 
 
@@ -256,3 +258,30 @@ class TestNoiseDistribution:
         stat = ((counts - expected) ** 2 / expected).sum()
         assert stat <= chi2.ppf(0.99, bins - 1)
 
+
+class TestSerialization:
+    """A template written by ``efn gen-template`` reads back bit for bit."""
+
+    @staticmethod
+    def write(tmp_path, name, spec):
+        out = tmp_path / name
+        argv = ["gen-template", "--family", spec.family, "--d", str(spec.d), "--beta", str(spec.beta),
+                "--phase-seed", str(spec.phase_seed), "--out", str(out)]
+        assert main(argv) == 0
+        return E.generate_template(spec), out.read_text()
+
+    def test_json_round_trip(self, tmp_path):
+        spec = E.SignalFamilySpec(family="power-law-psd", d=16, beta=1.0)
+        t, text = self.write(tmp_path, "t.json", spec)
+        rec = json.loads(text)
+        assert rec["d"] == 16
+        np.testing.assert_array_equal(rec["magnitudes"], t.magnitudes)
+        np.testing.assert_array_equal(rec["phases"], t.phases)
+        np.testing.assert_array_equal(rec["samples"], t.samples)
+
+    def test_csv_round_trip(self, tmp_path):
+        spec = E.SignalFamilySpec(family="power-law-psd", d=12, beta=0.5, phase_seed=3)
+        t, text = self.write(tmp_path, "t.csv", spec)
+        lines = text.splitlines()
+        assert lines[0] == "sample"
+        np.testing.assert_array_equal([float(v) for v in lines[1:]], t.samples)
