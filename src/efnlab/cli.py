@@ -141,7 +141,7 @@ def _load_config(path: str, args) -> ExperimentConfig:
         raise InvalidArgumentError(f"config: {e}") from e
     if not isinstance(doc, dict):
         raise InvalidArgumentError("config: the top level must be a JSON object")
-    for flag, field in (("M", "M"), ("trials", "trials"), ("sigma", "sigma"), ("seed", "master_seed"), ("ck_trials", "ck_trials")):
+    for flag, field in (("trials", "trials"), ("seed", "master_seed"), ("ck_trials", "ck_trials")):
         v = getattr(args, flag, None)
         if v is not None:
             doc[field] = v
@@ -176,6 +176,8 @@ def cmd_run(args) -> int:
 
 def _figure_config(figure: str, args) -> ExperimentConfig:
     """The figure's config at its default trial count and seed, then the flags."""
+    if args.pad and figure != "3":
+        raise InvalidArgumentError(f"--pad applies to figure 3 only, not figure {figure}")
     if figure in ("2b", "2c"):
         d, ks = (256, range(1, 128)) if figure == "2b" else (1024, (1, 2, 3, 4, 6, 8, 12, 16, 24, 32))
         config = ExperimentConfig(
@@ -261,6 +263,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen_template(args) -> int:
+    out = Path(args.out)
+    suffix = out.suffix.lower()
+    if suffix not in (".json", ".csv"):
+        raise InvalidArgumentError(f"--out must end in .json or .csv, got {out.name!r}")
     spec = SignalFamilySpec(
         family=args.family,
         d=args.d,
@@ -270,8 +276,7 @@ def cmd_gen_template(args) -> int:
         zero_dc=not args.keep_dc,
     )
     template = generate_template(spec)
-    out = Path(args.out)
-    if out.suffix == ".csv":
+    if suffix == ".csv":
         _write_csv(out, ["sample"], [[v] for v in template.samples])
     else:
         arrays = {name: getattr(template, name).tolist() for name in ("samples", "magnitudes", "phases")}
@@ -288,9 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="path to the JSON config")
     run_p.add_argument("--out", default=".", help="output directory")
     run_p.add_argument("--threads", type=int, help="worker process cap")
-    run_p.add_argument("--M", type=int, dest="M")
     run_p.add_argument("--trials", type=int)
-    run_p.add_argument("--sigma", type=float)
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--ck-trials", type=int, dest="ck_trials")
     run_p.set_defaults(fn=cmd_run)

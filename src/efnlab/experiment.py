@@ -243,6 +243,12 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> tuple:
     return tuple(results)
 
 
+def _mean_and_stderr(x: np.ndarray) -> tuple:
+    """The mean over trials (axis 0) and its standard error, NaN for one trial."""
+    n = len(x)
+    return x.mean(0), x.std(0, ddof=1) / math.sqrt(n) if n > 1 else np.full(x.shape[1:], np.nan)
+
+
 def aggregate_trials(
     config: ExperimentConfig,
     results: Sequence[TrialResult],
@@ -259,24 +265,10 @@ def aggregate_trials(
         raise InsufficientDataError("no trials to aggregate")
     template = _template_of(config)
     ks = np.asarray(config.frequencies, dtype=int)
-    pearsons = np.asarray([r.pearson for r in results])
-
-    if ks.size:
-        errs = np.stack([r.phase_errors for r in results])
-        mags = np.stack([r.magnitudes for r in results])
-        sq = errs**2
-        mse = sq.mean(0)
-        mse_se = sq.std(0, ddof=1) / math.sqrt(n) if n > 1 else np.full(ks.size, np.nan)
-        mag_mean = mags.mean(0)
-        mag_se = mags.std(0, ddof=1) / math.sqrt(n) if n > 1 else np.full(ks.size, np.nan)
-        pred1 = profile.ck / config.M
-        pred1_se = profile.ck_stderr / config.M
-        pred1_mag = profile.mu_b
-        pred2 = np.asarray([predict_phase_mse(template, int(k), config.M) for k in ks])
-        pred2_mag = config.sigma * np.asarray([predict_magnitude(template, int(k)) for k in ks])
-    else:
-        mse = mse_se = mag_mean = mag_se = np.empty(0)
-        pred1 = pred1_se = pred2 = pred1_mag = pred2_mag = np.empty(0)
+    mse, mse_se = _mean_and_stderr(np.stack([r.phase_errors for r in results]) ** 2)
+    mag_mean, mag_se = _mean_and_stderr(np.stack([r.magnitudes for r in results]))
+    pearson, pearson_se = _mean_and_stderr(np.asarray([r.pearson for r in results]))
+    ck, ck_se, mu_b = (profile.ck, profile.ck_stderr, profile.mu_b) if profile is not None else (np.empty(0),) * 3
 
     return AggregateStats(
         config=config,
@@ -286,13 +278,13 @@ def aggregate_trials(
         phase_mse_stderr=mse_se,
         mean_magnitude=mag_mean,
         magnitude_stderr=mag_se,
-        mean_pearson=float(pearsons.mean()),
-        pearson_stderr=float(pearsons.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan"),
-        predicted_mse_thm1=pred1,
-        predicted_mse_thm1_stderr=pred1_se,
-        predicted_mse_thm2=pred2,
-        predicted_magnitude_thm1=pred1_mag,
-        predicted_magnitude_thm2=pred2_mag,
+        mean_pearson=float(pearson),
+        pearson_stderr=float(pearson_se),
+        predicted_mse_thm1=ck / config.M,
+        predicted_mse_thm1_stderr=ck_se / config.M,
+        predicted_mse_thm2=np.asarray([predict_phase_mse(template, int(k), config.M) for k in ks]),
+        predicted_magnitude_thm1=mu_b,
+        predicted_magnitude_thm2=config.sigma * np.asarray([predict_magnitude(template, int(k)) for k in ks]),
     )
 
 

@@ -96,15 +96,6 @@ class TemplateSignal:
         self.magnitudes, self.phases = map(_readonly, polar(dft(x)))
         self.non_vanishing = bool(self.magnitudes[1:].min() > NON_VANISHING_FLOOR * self.magnitudes.max())
 
-    @classmethod
-    def normalized(cls, samples) -> "TemplateSignal":
-        """Build a template from arbitrary samples, rescaling to unit norm."""
-        x = np.asarray(samples, dtype=float)
-        nrm = np.linalg.norm(x)
-        if nrm == 0.0 or not np.isfinite(nrm):
-            raise InvalidArgumentError("cannot normalize a zero or non-finite signal")
-        return cls(x / nrm)
-
     def require_alignable(self):
         """Raise RejectedTemplateError unless the spectrum clears the floor."""
         if not self.non_vanishing:
@@ -197,7 +188,11 @@ def generate_template(spec: SignalFamilySpec) -> TemplateSignal:
         return TemplateSignal(x)
 
     if spec.family == "explicit-samples":
-        return TemplateSignal.normalized(np.asarray(spec.samples, dtype=float))
+        x = np.asarray(spec.samples, dtype=float)
+        nrm = np.linalg.norm(x)
+        if nrm == 0.0 or not np.isfinite(nrm):
+            raise InvalidArgumentError("cannot normalize a zero or non-finite signal")
+        return TemplateSignal(x / nrm)
 
     half = d // 2 + 1
     rng = np.random.default_rng(spec.phase_seed)

@@ -103,7 +103,7 @@ def sample_cyclostationary(cg: ConditionalGaussian, rng, size: int) -> np.ndarra
     lam = np.asarray(cg.spectral_eigenvalues, dtype=float)
     if np.any(lam < 0):
         raise InvalidArgumentError("spectral eigenvalues must be nonnegative")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     d = cg.d
     half = np.arange(d // 2 + 1)
     h = np.sqrt(0.5 * d * (lam[half] + lam[(d - half) % d]))
@@ -124,7 +124,6 @@ class GumbelConstants:
 
     a_d: float
     b_d: float
-    d: int
 
 
 def gumbel_constants(d: int) -> GumbelConstants:
@@ -133,7 +132,7 @@ def gumbel_constants(d: int) -> GumbelConstants:
         raise InvalidArgumentError("gumbel constants need d >= 3 (ln ln d must be defined)")
     a = math.sqrt(2.0 * math.log(d))
     b = a - (math.log(math.log(d)) + math.log(4.0 * math.pi)) / (2.0 * a)
-    return GumbelConstants(a_d=a, b_d=b, d=d)
+    return GumbelConstants(a_d=a, b_d=b)
 
 
 def softmax_expectation(f, mean) -> float:

@@ -6,7 +6,6 @@ pass/fail table and the test suite can assert on the same numbers.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 
@@ -306,7 +305,8 @@ SUITES = {
     "lemma1": lemma1_suite,
 }
 
-#: Smallest value each suite accepts for each count override it takes.
+#: Smallest value each suite accepts for its one count override; a suite
+#: takes that count and ``seed``, and no other override.
 MIN_COUNTS = {
     "alignment": {"cases": 1},
     "symmetry": {"draws": 2},
@@ -316,14 +316,8 @@ MIN_COUNTS = {
 }
 
 
-def _accepted(fn, overrides: dict) -> dict:
-    params = inspect.signature(fn).parameters
-    return {k: v for k, v in overrides.items() if k in params}
-
-
 def run_suite(name: str, **overrides) -> list[CheckRow]:
-    """Run one named suite, or 'all' with each suite taking the overrides it
-    has parameters for.
+    """Run one named suite, or 'all' with each suite taking its own overrides.
 
     Overrides are checked before any suite runs: a named suite rejects one it
     does not take, and every count must reach its suite's minimum.
@@ -332,7 +326,7 @@ def run_suite(name: str, **overrides) -> list[CheckRow]:
         raise InvalidArgumentError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     names = list(SUITES) if name == "all" else [name]
     given = {k: v for k, v in overrides.items() if v is not None}
-    unused = sorted(given.keys() - _accepted(SUITES[name], given).keys()) if name != "all" else []
+    unused = sorted(given.keys() - {*MIN_COUNTS[name], "seed"}) if name != "all" else []
     if unused:
         raise InvalidArgumentError(f"{name} takes no --{', --'.join(unused)}")
     for suite in names:
@@ -343,6 +337,6 @@ def run_suite(name: str, **overrides) -> list[CheckRow]:
         raise InvalidArgumentError(f"{name} needs --seed >= 0, got {given['seed']}")
     rows = []
     for suite in names:
-        fn = SUITES[suite]
-        rows.extend(fn(**_accepted(fn, given)))
+        takes = {*MIN_COUNTS[suite], "seed"}
+        rows.extend(SUITES[suite](**{k: v for k, v in given.items() if k in takes}))
     return rows

@@ -133,6 +133,15 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out), "--trials", "3"]) == 0
         assert json.loads((out / "manifest.json").read_text())["config"]["trials"] == 3
 
+    @pytest.mark.parametrize("flag, value", [("--M", "5"), ("--sigma", "2")])
+    def test_config_field_flags_are_not_options(self, tmp_path, flag, value):
+        # M and sigma are set in the config file only
+        cfg = write_config(tmp_path / "cfg.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), flag, value])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
     def test_efn_threads_env_fallback(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "cfg.json")
         a, b = tmp_path / "serial", tmp_path / "pooled"
@@ -240,9 +249,12 @@ class TestRun:
             ({"template": {"family": "explicit-samples", "d": 8, "samples": [1.0] * 8},
               "sweep": {"axis": "d", "values": [8, 16, 32]}},
              "template.samples must hold d = 16 numbers"),
+            ({"template": {"family": "explicit-samples", "d": 8, "samples": [0.0] * 8}},
+             "cannot normalize a zero or non-finite signal"),
         ],
         ids=["samples-length", "zero-dc", "phase-seed-fraction", "phase-seed-negative",
-             "sweep-extra-key", "beta-sweep-on-delta", "pad-sweep-on-psd", "d-sweep-of-samples"],
+             "sweep-extra-key", "beta-sweep-on-delta", "pad-sweep-on-psd", "d-sweep-of-samples",
+             "all-zero-samples"],
     )
     def test_config_error_is_usage_error_before_any_trial(
         self, tmp_path, capsys, monkeypatch, overrides, message
@@ -320,6 +332,16 @@ class TestFigure:
         out = tmp_path / "f"
         assert main(["figure", figure, "--out", str(out), "--trials", "0"]) == 2
         assert "trials must be >= 1" in capsys.readouterr().err
+        assert ran == []
+        assert not (out / f"figure{figure}.csv").exists()
+
+    @pytest.mark.parametrize("figure", ["2b", "2c", "4b", "4c"])
+    def test_pad_outside_figure3_is_usage_error(self, tmp_path, capsys, monkeypatch, figure):
+        ran = []
+        monkeypatch.setattr(experiment, "run_trial", lambda config, t: ran.append(t))
+        out = tmp_path / "f"
+        assert main(["figure", figure, "--pad", "--out", str(out), "--trials", "2"]) == 2
+        assert "--pad applies to figure 3 only" in capsys.readouterr().err
         assert ran == []
         assert not (out / f"figure{figure}.csv").exists()
 
@@ -413,6 +435,26 @@ class TestVerify:
         assert "RuntimeWarning" not in captured.err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_each_suite_takes_its_count_and_seed(self, monkeypatch):
+        calls = {}
+
+        def recorder(suite):
+            def run(**kwargs):
+                calls[suite] = kwargs
+                return []
+            return run
+
+        for suite in verify.SUITES:
+            monkeypatch.setitem(verify.SUITES, suite, recorder(suite))
+        assert verify.run_suite("all", cases=1, draws=100_000, replicates=100, seed=7) == []
+        assert calls == {
+            "alignment": {"cases": 1, "seed": 7},
+            "symmetry": {"draws": 100_000, "seed": 7},
+            "gumbel": {"replicates": 100, "seed": 7},
+            "prop3": {"draws": 100_000, "seed": 7},
+            "lemma1": {"draws": 100_000, "seed": 7},
+        }
+
     def test_lemma1_suite_quick(self, capsys):
         assert main(["verify", "lemma1", "--draws", "100000"]) == 0
 
@@ -449,6 +491,19 @@ class TestGenTemplate:
             lines = out.read_text().splitlines()
             assert lines[0] == "sample"
             np.testing.assert_array_equal([float(v) for v in lines[1:]], template.samples)
+
+    def test_suffix_is_case_blind(self, tmp_path):
+        out = tmp_path / "t.CSV"
+        template = self.generate(self.SPECS[0], out)
+        lines = out.read_text().splitlines()
+        assert lines[0] == "sample"
+        np.testing.assert_array_equal([float(v) for v in lines[1:]], template.samples)
+
+    def test_other_suffix_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "t.txt"
+        assert main(["gen-template", "--d", "16", "--out", str(out)]) == 2
+        assert "--out must end in .json or .csv" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_family_is_usage_error(self, tmp_path, capsys):
         assert main(["gen-template", "--d", "16", "--family", "x", "--out", str(tmp_path / "t.json")]) == 2

@@ -179,9 +179,13 @@ class TestAggregation:
         cfg = small_config(frequencies=())
         stats = E.run_experiment(cfg)
         assert stats.ks.size == 0
-        assert stats.phase_mse.size == 0
+        for column in cli.STATS_COLUMNS:
+            values = getattr(stats, column)
+            assert values.shape == (0,) and values.dtype == np.float64, column
         assert np.isfinite(stats.mean_pearson)
         assert stats.pearson_stderr > 0
+        one = E.run_experiment(small_config(frequencies=(), trials=1))
+        assert np.isfinite(one.mean_pearson) and math.isnan(one.pearson_stderr)
 
     def test_predictions_attached_for_both_regimes(self):
         stats = E.run_experiment(small_config(trials=4, ck_trials=1000))
