@@ -42,7 +42,7 @@ from .experiment import (
     run_sweep,
 )
 from .signals import SignalFamilySpec, generate_template
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 _FIGURE_IDS = ("2b", "2c", "3", "4b", "4c")
 
@@ -132,6 +132,21 @@ def _resolve_workers(args) -> int:
     return workers
 
 
+def _flag_fields(args) -> dict:
+    """The config fields that the given flags set: a flag's dest is the field it overrides."""
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    return {k: v for k, v in vars(args).items() if k in fields and v is not None}
+
+
+def _out_dir(args) -> Path:
+    """The --out directory, made only when written to; a non-directory there is rejected now."""
+    out = Path(args.out)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise InvalidArgumentError(f"--out: {existing} exists and is not a directory")
+    return out
+
+
 def _load_config(path: str, args) -> ExperimentConfig:
     try:
         doc = json.loads(Path(path).read_text())
@@ -141,18 +156,13 @@ def _load_config(path: str, args) -> ExperimentConfig:
         raise InvalidArgumentError(f"config: {e}") from e
     if not isinstance(doc, dict):
         raise InvalidArgumentError("config: the top level must be a JSON object")
-    for flag, field in (("trials", "trials"), ("seed", "master_seed"), ("ck_trials", "ck_trials")):
-        v = getattr(args, flag, None)
-        if v is not None:
-            doc[field] = v
-    return ExperimentConfig.from_dict(doc)
+    return ExperimentConfig.from_dict({**doc, **_flag_fields(args)})
 
 
 def cmd_run(args) -> int:
     t0 = time.time()
     config = _load_config(args.config, args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     workers = _resolve_workers(args)
     telemetry = Telemetry()
 
@@ -167,6 +177,7 @@ def cmd_run(args) -> int:
         for value, stats in run_sweep(config, workers, telemetry):
             rows.extend([value, *row] for row in _stats_rows(stats))
             summary.append({"value": value, **_summary(stats)})
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(csv_path, header, rows)
     _write_json(json_path, summary)
     _write_manifest(out_dir, "run", config.to_dict(), [csv_path, json_path], t0, telemetry)
@@ -203,8 +214,7 @@ def _figure_config(figure: str, args) -> ExperimentConfig:
             template=SignalFamilySpec(family="power-law-psd", d=2048, beta=0.0, phase_seed=1),
             M=2000, trials=500, frequencies=tuple(range(1, 1024)),
         )
-    flags = {"master_seed": 77 if args.seed is None else args.seed, "trials": args.trials}
-    return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
+    return dataclasses.replace(config, **{"master_seed": 77, **_flag_fields(args)})
 
 
 def cmd_figure(args) -> int:
@@ -212,8 +222,7 @@ def cmd_figure(args) -> int:
     if args.figure not in _FIGURE_IDS:
         raise InvalidArgumentError(f"unknown figure id {args.figure!r}; choose from {_FIGURE_IDS}")
     config = _figure_config(args.figure, args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     workers = _resolve_workers(args)
     telemetry = Telemetry()
     csv_path = out_dir / f"figure{args.figure}.csv"
@@ -240,6 +249,7 @@ def cmd_figure(args) -> int:
         columns = ["phase_mse", "phase_mse_stderr", "predicted_mse_thm2", "mse_ratio_thm2"]
         rows = [[k, template.magnitudes[k], *rest] for k, *rest in _stats_rows(stats, columns)]
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(csv_path, header, rows)
     _write_manifest(out_dir, f"figure {args.figure}", config.to_dict(), [csv_path], t0, telemetry)
     print(f"wrote {csv_path}")
@@ -247,13 +257,7 @@ def cmd_figure(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rows = run_suite(
-        args.suite,
-        cases=args.cases,
-        draws=args.draws,
-        replicates=args.replicates,
-        seed=args.seed,
-    )
+    rows = run_suite(args.suite, cases=args.cases, draws=args.draws, replicates=args.replicates, seed=args.seed)
     ok = True
     for row in rows:
         print(row.format())
@@ -289,26 +293,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="efn", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run an experiment from a JSON config")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--out", default=".", help="output directory")
+    shared.add_argument("--threads", type=int, help="worker process cap")
+    shared.add_argument("--trials", type=int, help="trial count")
+    shared.add_argument("--seed", type=int, dest="master_seed", help="master seed")
+
+    run_p = sub.add_parser("run", parents=[shared], help="run an experiment from a JSON config")
     run_p.add_argument("--config", required=True, help="path to the JSON config")
-    run_p.add_argument("--out", default=".", help="output directory")
-    run_p.add_argument("--threads", type=int, help="worker process cap")
-    run_p.add_argument("--trials", type=int)
-    run_p.add_argument("--seed", type=int)
     run_p.add_argument("--ck-trials", type=int, dest="ck_trials")
     run_p.set_defaults(fn=cmd_run)
 
-    fig_p = sub.add_parser("figure", help="reproduce a headline-figure analog")
+    fig_p = sub.add_parser("figure", parents=[shared], help="reproduce a headline-figure analog")
     fig_p.add_argument("figure", help="one of: " + ", ".join(_FIGURE_IDS))
-    fig_p.add_argument("--out", default=".")
-    fig_p.add_argument("--threads", type=int)
-    fig_p.add_argument("--trials", type=int)
-    fig_p.add_argument("--seed", type=int)
     fig_p.add_argument("--pad", action="store_true", help="figure 3: sweep pad ratio instead of beta")
     fig_p.set_defaults(fn=cmd_figure)
 
     ver_p = sub.add_parser("verify", help="run a verification suite")
-    ver_p.add_argument("suite", help="alignment | symmetry | gumbel | prop3 | lemma1 | all")
+    ver_p.add_argument("suite", help=" | ".join([*SUITES, "all"]))
     ver_p.add_argument("--cases", type=int)
     ver_p.add_argument("--draws", type=int)
     ver_p.add_argument("--replicates", type=int)

@@ -189,12 +189,11 @@ def observation_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _template_of(config: ExperimentConfig) -> TemplateSignal:
+def _template_of(config: ExperimentConfig) -> tuple[TemplateSignal, np.ndarray]:
+    """The config's template and its frequencies as an int array, both checked."""
     template = generate_template(config.template)
     template.require_alignable()
-    for k in config.frequencies:
-        template.require_bin(k)
-    return template
+    return template, template.require_bins(config.frequencies)
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> tuple:
@@ -209,10 +208,10 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> tuple:
     reading at M is the M-observation trial.  Returns one
     :class:`TrialResult` per checkpoint, in checkpoint order.
     """
-    template = _template_of(config)
+    template, ks = _template_of(config)
     d = template.d
     rng = observation_rng(config.master_seed, trial_index)
-    total, drawn, sums = None, 0, []
+    total, drawn, sums = 0.0, 0, []
     for checkpoint in config.checkpoints:
         for start, stop in chunks(checkpoint, d, drawn):
             noise = config.sigma * rng.standard_normal((stop - start, d))
@@ -222,13 +221,11 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> tuple:
                 head = noise[i, :s].copy()
                 noise[i, :d - s] = noise[i, s:]
                 noise[i, d - s:] = head
-            if total is not None:
-                noise[0] += total
+            noise[0] += total
             total = noise.sum(axis=0)
             drawn = stop
         sums.append((drawn, total))
 
-    ks = np.asarray(config.frequencies, dtype=int)
     results = []
     for M, total in sums:
         xhat = total / M
@@ -263,8 +260,7 @@ def aggregate_trials(
     n = len(results)
     if n < 1:
         raise InsufficientDataError("no trials to aggregate")
-    template = _template_of(config)
-    ks = np.asarray(config.frequencies, dtype=int)
+    template, ks = _template_of(config)
     mse, mse_se = _mean_and_stderr(np.stack([r.phase_errors for r in results]) ** 2)
     mag_mean, mag_se = _mean_and_stderr(np.stack([r.magnitudes for r in results]))
     pearson, pearson_se = _mean_and_stderr(np.asarray([r.pearson for r in results]))
@@ -282,9 +278,9 @@ def aggregate_trials(
         pearson_stderr=float(pearson_se),
         predicted_mse_thm1=ck / config.M,
         predicted_mse_thm1_stderr=ck_se / config.M,
-        predicted_mse_thm2=np.asarray([predict_phase_mse(template, int(k), config.M) for k in ks]),
+        predicted_mse_thm2=predict_phase_mse(template, ks, config.M),
         predicted_magnitude_thm1=mu_b,
-        predicted_magnitude_thm2=config.sigma * np.asarray([predict_magnitude(template, int(k)) for k in ks]),
+        predicted_magnitude_thm2=config.sigma * predict_magnitude(template, ks),
     )
 
 
@@ -295,7 +291,7 @@ def _walk(config: ExperimentConfig, workers: int, telemetry: Optional[Telemetry]
     The trials run on one process pool when ``workers`` > 1, and the C_k
     profile is estimated once, after them, for all checkpoints.
     """
-    template = _template_of(config)  # rejects a bad template or bin before any trial runs
+    template, ks = _template_of(config)  # rejects a bad template or bin before any trial runs
     pool_size = max(1, min(workers, config.trials))
     if pool_size == 1:
         walks = [run_trial(config, t) for t in range(config.trials)]
@@ -303,9 +299,8 @@ def _walk(config: ExperimentConfig, workers: int, telemetry: Optional[Telemetry]
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             walks = list(pool.map(run_trial, [config] * config.trials, range(config.trials)))
     profile = None
-    if config.frequencies:  # the C_k profile does not depend on M
+    if ks.size:  # the C_k profile does not depend on M
         ck_seed = np.random.SeedSequence(config.master_seed, spawn_key=(_CK_SEED_LANE,))
-        ks = np.asarray(config.frequencies, dtype=int)
         profile = estimate_ck_profile(template, config.ck_trials, ck_seed, sigma=config.sigma, ks=ks)
     if telemetry is not None:
         telemetry.trials += len(walks)
@@ -359,4 +354,6 @@ def run_sweep(
     if config.sweep.axis == "M":
         walk = dataclasses.replace(config, M=pairs[-1][1].M)
         return [(v, stats) for (v, _), stats in zip(pairs, _walk(walk, workers, telemetry))]
+    for _, c in pairs:  # every value's template and bins, before any trial runs
+        _template_of(c)
     return [(v, run_experiment(c, workers, telemetry)) for v, c in pairs]

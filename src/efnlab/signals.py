@@ -104,16 +104,19 @@ class TemplateSignal:
                 f"({NON_VANISHING_FLOOR:g} relative)"
             )
 
-    def require_bin(self, k: int):
-        """Raise ExcludedBinError unless bin k's magnitude clears the floor
-        (in particular a zeroed DC bin is excluded from phase statistics)."""
-        if not (0 <= k <= self.d - 1):
-            raise InvalidArgumentError(f"frequency index {k} out of range for d={self.d}")
-        mags = self.magnitudes
-        if mags[k] <= NON_VANISHING_FLOOR * mags.max():
+    def require_bins(self, ks) -> np.ndarray:
+        """The bins ``ks`` (an array, or one bin) as an int array; raises ExcludedBinError
+        for the first whose magnitude is at or below the floor, such as a zeroed DC bin."""
+        ks, mags = np.asarray(ks, dtype=int), self.magnitudes
+        bad = ks[(ks < 0) | (ks > self.d - 1)]
+        if bad.size:
+            raise InvalidArgumentError(f"frequency index {bad[0]} out of range for d={self.d}")
+        bad = ks[mags[ks] <= NON_VANISHING_FLOOR * mags.max()]
+        if bad.size:
             raise ExcludedBinError(
-                f"bin {k} excluded: template magnitude {mags[k]:.3e} is at or below the floor"
+                f"bin {bad[0]} excluded: template magnitude {mags[bad[0]]:.3e} is at or below the floor"
             )
+        return ks
 
     def __repr__(self):
         return f"TemplateSignal(d={self.d}, non_vanishing={self.non_vanishing})"
@@ -168,11 +171,17 @@ class SignalFamilySpec:
             raise InvalidArgumentError("explicit-samples family requires samples")
 
 
-def _synthesize(mag_half: np.ndarray, phase_half: np.ndarray, d: int) -> np.ndarray:
-    """Real signal from half-spectrum magnitudes/phases (bins 0..d/2)."""
-    spec = mag_half * np.exp(1j * phase_half)
-    x = np.fft.irfft(spec, d)
-    return x / np.linalg.norm(x)
+def _unit(x: np.ndarray) -> TemplateSignal:
+    """The template x / |x|; a zero or non-finite x cannot be normalized."""
+    nrm = np.linalg.norm(x)
+    if nrm == 0.0 or not np.isfinite(nrm):
+        raise InvalidArgumentError("cannot normalize a zero or non-finite signal")
+    return TemplateSignal(x / nrm)
+
+
+def _synthesize(mag_half: np.ndarray, phase_half: np.ndarray, d: int) -> TemplateSignal:
+    """The template of half-spectrum magnitudes/phases (bins 0..d/2)."""
+    return _unit(np.fft.irfft(mag_half * np.exp(1j * phase_half), d))
 
 
 def generate_template(spec: SignalFamilySpec) -> TemplateSignal:
@@ -188,11 +197,7 @@ def generate_template(spec: SignalFamilySpec) -> TemplateSignal:
         return TemplateSignal(x)
 
     if spec.family == "explicit-samples":
-        x = np.asarray(spec.samples, dtype=float)
-        nrm = np.linalg.norm(x)
-        if nrm == 0.0 or not np.isfinite(nrm):
-            raise InvalidArgumentError("cannot normalize a zero or non-finite signal")
-        return TemplateSignal(x / nrm)
+        return _unit(np.asarray(spec.samples, dtype=float))
 
     half = d // 2 + 1
     rng = np.random.default_rng(spec.phase_seed)
@@ -205,7 +210,7 @@ def generate_template(spec: SignalFamilySpec) -> TemplateSignal:
         mag = (1.0 + k) ** (-spec.beta / 2.0)
         if spec.zero_dc:
             mag[0] = 0.0
-        return TemplateSignal(_synthesize(mag, phases, d))
+        return _synthesize(mag, phases, d)
 
     # zero-padded-pulse: a centered Gaussian bump whose support shrinks as the
     # pad ratio grows; tiny spectral bins are floored so the template keeps a
@@ -221,5 +226,5 @@ def generate_template(spec: SignalFamilySpec) -> TemplateSignal:
     ph[-1] = 0.0
     if spec.zero_dc:
         mag[0] = 0.0
-    return TemplateSignal(_synthesize(mag, ph, d))
+    return _synthesize(mag, ph, d)
 

@@ -266,8 +266,8 @@ def estimate_ck_profile(
 # Closed-form high-dimensional predictions
 # ---------------------------------------------------------------------------
 
-def predict_phase_mse(template: TemplateSignal, k: int, M: int) -> float:
-    """Predicted phase MSE at bin k for M observations: 1 / (4 |X[k]|^2 M ln d).
+def predict_phase_mse(template: TemplateSignal, ks, M: int) -> np.ndarray:
+    """Predicted phase MSE at bins ks for M observations: 1 / (4 |X[k]|^2 M ln d).
 
     This is the d -> infinity limit: it uses a_d^2 = 2 ln d for the squared
     expected maximum of the correlation sequence.  At finite d with a white
@@ -278,12 +278,11 @@ def predict_phase_mse(template: TemplateSignal, k: int, M: int) -> float:
     """
     if M < 1:
         raise InvalidArgumentError("M must be >= 1")
-    template.require_bin(k)
-    return 1.0 / (4.0 * template.magnitudes[k] ** 2 * M * math.log(template.d))
+    return 1.0 / (4.0 * template.magnitudes[template.require_bins(ks)] ** 2 * M * math.log(template.d))
 
 
-def predict_magnitude(template: TemplateSignal, k: int) -> float:
-    """Predicted estimator magnitude at bin k for unit noise: sqrt(2 ln d) * |X[k]|.
+def predict_magnitude(template: TemplateSignal, ks) -> np.ndarray:
+    """Predicted estimator magnitude at bins ks for unit noise: sqrt(2 ln d) * |X[k]|.
 
     This is the d -> infinity limit.  At finite d with a white correlation
     sequence (flat template) the expected magnitude is m_d |X[k]|, where m_d
@@ -292,4 +291,4 @@ def predict_magnitude(template: TemplateSignal, k: int) -> float:
     Monte-Carlo E[|N[k]| cos(phi_e[k])], ``mu_b`` of
     :func:`estimate_ck_profile`.
     """
-    return math.sqrt(2.0 * math.log(template.d)) * float(template.magnitudes[k])
+    return math.sqrt(2.0 * math.log(template.d)) * template.magnitudes[np.asarray(ks, dtype=int)]

@@ -214,10 +214,6 @@ class Lemma1Report:
     conc_sum: float
     conc_sum_stderr: float
 
-    def signs_match(self, min_abs_mu: float = 0.3) -> bool:
-        sel = np.abs(self.mu) > min_abs_mu
-        return bool(np.all(np.sign(self.diff[sel]) == np.sign(self.mu[sel])))
-
 
 def lemma1_check(
     template: TemplateSignal, k: int, phi: float, trials: int, seed

@@ -305,6 +305,43 @@ class TestRun:
         assert len(lines) == 1 + 2 * 2  # two sweep values x two frequencies
 
 
+class TestOutDir:
+    """A rejected run or figure leaves no output directory behind."""
+
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(experiment, "run_trial", lambda config, t: ran.append(t))
+        monkeypatch.delenv("EFN_THREADS", raising=False)
+        return ran
+
+    def test_efn_threads_below_one(self, tmp_path, capsys, monkeypatch, ran):
+        monkeypatch.setenv("EFN_THREADS", "0")
+        out = tmp_path / "d"
+        assert main(["figure", "3", "--out", str(out)]) == 2
+        assert "EFN_THREADS must be >= 1" in capsys.readouterr().err
+        assert ran == [] and not out.exists()
+
+    def test_excluded_bin(self, tmp_path, capsys, ran):
+        cfg = write_config(tmp_path / "cfg.json", frequencies=[1, 0])  # the DC bin is zeroed
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "bin 0 excluded" in capsys.readouterr().err
+        assert ran == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", [["figure", "3"], ["run", "--config", "cfg.json"]], ids=["figure", "run"])
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_that_is_a_file(self, tmp_path, capsys, monkeypatch, ran, command, out):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path / "cfg.json")
+        (tmp_path / "taken").write_text("kept")
+        before = sorted(tmp_path.rglob("*"))
+        assert main([*command, "--out", out]) == 2
+        assert "--out: taken exists and is not a directory" in capsys.readouterr().err
+        assert ran == [] and sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "taken").read_text() == "kept"
+
+
 class TestFigure:
     def test_unknown_figure_is_usage_error(self, tmp_path, capsys):
         assert main(["figure", "9z", "--out", str(tmp_path)]) == 2
@@ -390,6 +427,13 @@ class TestVerify:
         assert main(["verify", "alignment", "--cases", "40"]) == 0
         out = capsys.readouterr().out
         assert "argmax agreement" in out and "FAIL" not in out
+
+    def test_help_names_every_suite(self, capsys, monkeypatch):
+        monkeypatch.setitem(verify.SUITES, "extra", lambda **kwargs: [])
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert " | ".join([*verify.SUITES, "all"]) in " ".join(capsys.readouterr().out.split())
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["verify", "bogus"]) == 2
@@ -507,6 +551,14 @@ class TestGenTemplate:
 
     def test_bad_family_is_usage_error(self, tmp_path, capsys):
         assert main(["gen-template", "--d", "16", "--family", "x", "--out", str(tmp_path / "t.json")]) == 2
+
+    def test_vanishing_spectrum_is_usage_error(self, tmp_path, capsys):
+        # beta = 1e308 underflows every bin but DC to 0, and DC is zeroed: no
+        # division by the zero norm, so no RuntimeWarning, which would fail here
+        out = tmp_path / "t.json"
+        assert main(["gen-template", "--d", "8", "--beta", "1e308", "--out", str(out)]) == 2
+        assert "cannot normalize a zero or non-finite signal" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVersion:

@@ -363,6 +363,16 @@ class TestSweeps:
                 assert stats.mean_pearson == solo.mean_pearson
                 assert stats.pearson_stderr == solo.pearson_stderr
 
+    def test_every_sweep_value_is_checked_before_any_trial(self, monkeypatch):
+        # at beta = 100 the d=16 spectrum falls below the non-vanishing floor
+        ran, run_trial = [], experiment.run_trial
+        monkeypatch.setattr(experiment, "run_trial", lambda config, t: ran.append(t) or run_trial(config, t))
+        spec = E.SignalFamilySpec(family="power-law-psd", d=16, phase_seed=1)
+        cfg = small_config(template=spec, M=20, trials=3, frequencies=(1, 3), sweep=E.SweepSpec("beta", (0, 1, 100)))
+        with pytest.raises(RejectedTemplateError):
+            E.run_sweep(cfg)
+        assert ran == []
+
     def test_m_sweep_is_one_walk_and_one_profile(self, monkeypatch):
         drawn, profiles = [], []
 

@@ -9,7 +9,7 @@ from scipy.stats import chi2
 
 import efnlab as E
 from efnlab.cli import main
-from efnlab.errors import InvalidArgumentError
+from efnlab.errors import ExcludedBinError, InvalidArgumentError
 
 
 class TestDft:
@@ -239,6 +239,33 @@ class TestTemplateInvariants:
         for values in (t.samples, t.magnitudes, t.phases, E.dft(t.samples)):
             with pytest.raises(ValueError):
                 values[0] = 2.0
+
+
+class TestRequireBins:
+    def test_returns_the_bins_as_an_int_array(self):
+        t = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=16, beta=1.0))
+        ks = t.require_bins((1, 5, 15))
+        assert ks.dtype == np.dtype(int) and ks.tolist() == [1, 5, 15]
+        one = t.require_bins(3)
+        assert one.dtype == np.dtype(int) and one == 3
+        assert t.require_bins(()).dtype == np.dtype(int) and t.require_bins(()).size == 0
+
+    def test_names_the_first_excluded_bin(self):
+        # ones at indices 0 and 8 of 16: every odd bin vanishes
+        t = E.TemplateSignal(np.asarray([float(i in (0, 8)) for i in range(16)]) / math.sqrt(2.0))
+        with pytest.raises(ExcludedBinError, match=r"^bin 3 excluded: template magnitude .* is at or below the floor$"):
+            t.require_bins([2, 4, 3, 5])
+        zero_dc = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=16))
+        for ks in (0, [1, 0]):
+            with pytest.raises(ExcludedBinError, match="^bin 0 excluded"):
+                zero_dc.require_bins(ks)
+
+    @pytest.mark.parametrize("ks, bad", [(16, 16), ([1, 16, 17], 16), ([2, -1], -1)])
+    def test_rejects_a_bin_outside_the_range(self, ks, bad):
+        t = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=16, beta=1.0))
+        with pytest.raises(InvalidArgumentError, match=f"frequency index {bad} out of range for d=16") as exc:
+            t.require_bins(ks)
+        assert not isinstance(exc.value, ExcludedBinError)
 
 
 class TestNoiseDistribution:

@@ -299,6 +299,22 @@ class TestPredictions:
         with pytest.raises(InvalidArgumentError):
             E.predict_phase_mse(t, 0, 100)
 
+    @pytest.mark.parametrize(
+        "template, ks",
+        [(lambda: flat(2048, seed=1), range(256, 769)),  # the benchmark's flat_hd template and bins
+         (lambda: E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=1024, beta=1.0, phase_seed=1)),
+          range(1, 1024))],
+        ids=["flat_hd", "beta-one-1024"],
+    )
+    def test_array_forms_match_a_per_bin_loop(self, template, ks):
+        t = template()
+        m, d, M = t.magnitudes, t.d, 2000
+        mse = np.asarray([1.0 / (4.0 * m[k] ** 2 * M * math.log(d)) for k in ks])
+        mag = np.asarray([math.sqrt(2.0 * math.log(d)) * float(m[k]) for k in ks])
+        ks = np.asarray(ks)
+        assert E.predict_phase_mse(t, ks, M).tobytes() == mse.tobytes()
+        assert E.predict_magnitude(t, ks).tobytes() == mag.tobytes()
+
 
 class TestLemma1:
     def test_peak_bin_dominates_at_phi_zero(self):
@@ -306,7 +322,9 @@ class TestLemma1:
         # at l=0, mu=1: the +mu process wins the argmax more often
         assert rep.diff[0] > 0
         assert rep.diff[0] / rep.diff_stderr[0] >= 2.3263
-        assert rep.signs_match()
+        # where |mu| > 0.3, each argmax-frequency difference has the sign of mu
+        sel = np.abs(rep.mu) > 0.3
+        np.testing.assert_array_equal(np.sign(rep.diff[sel]), np.sign(rep.mu[sel]))
         assert rep.conc_sum - 2.3263 * rep.conc_sum_stderr > 0
 
     def test_zero_mean_control_is_balanced(self):
