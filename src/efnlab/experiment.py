@@ -144,7 +144,7 @@ def _build(cls, name: str, doc):
 class TrialResult:
     trial_index: int
     phase_errors: np.ndarray  # wrapped, one entry per configured frequency
-    magnitudes: np.ndarray
+    magnitudes: np.ndarray  # at unit noise; aggregate_trials scales them by sigma
     pearson: float
     observations: int  # rows the walk had summed when it took this reading
 
@@ -197,8 +197,8 @@ def _template_of(config: ExperimentConfig) -> tuple[TemplateSignal, np.ndarray]:
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> tuple:
-    """One independent walk: draw M observations, align and sum them, and
-    measure the running average at each of ``config.checkpoints``.
+    """One independent walk: draw M unit-noise observations, align and sum
+    them, and measure the running average at each of ``config.checkpoints``.
 
     Observations are drawn from the trial's one stream and aligned one
     fixed-size chunk at a time; a chunk that would cross a checkpoint stops
@@ -214,7 +214,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> tuple:
     total, drawn, sums = 0.0, 0, []
     for checkpoint in config.checkpoints:
         for start, stop in chunks(checkpoint, d, drawn):
-            noise = config.sigma * rng.standard_normal((stop - start, d))
+            noise = rng.standard_normal((stop - start, d))
             shifts = align_rows(noise, template)[0]
             # align in place: row i is rotated left by its shift
             for i, s in enumerate(shifts.tolist()):
@@ -255,6 +255,8 @@ def aggregate_trials(
 
     ``profile`` is the config's C_k profile (None when the config has no
     frequencies); the thm1 predictions are its C_k over the config's M.
+    Trials and profile are unit noise: ``config.sigma`` multiplies the four
+    magnitude columns, and no other statistic depends on it.
     """
     results = sorted(results, key=lambda r: r.trial_index)
     n = len(results)
@@ -272,14 +274,14 @@ def aggregate_trials(
         ks=ks,
         phase_mse=mse,
         phase_mse_stderr=mse_se,
-        mean_magnitude=mag_mean,
-        magnitude_stderr=mag_se,
+        mean_magnitude=config.sigma * mag_mean,
+        magnitude_stderr=config.sigma * mag_se,
         mean_pearson=float(pearson),
         pearson_stderr=float(pearson_se),
         predicted_mse_thm1=ck / config.M,
         predicted_mse_thm1_stderr=ck_se / config.M,
         predicted_mse_thm2=predict_phase_mse(template, ks, config.M),
-        predicted_magnitude_thm1=mu_b,
+        predicted_magnitude_thm1=config.sigma * mu_b,
         predicted_magnitude_thm2=config.sigma * predict_magnitude(template, ks),
     )
 
@@ -301,7 +303,7 @@ def _walk(config: ExperimentConfig, workers: int, telemetry: Optional[Telemetry]
     profile = None
     if ks.size:  # the C_k profile does not depend on M
         ck_seed = np.random.SeedSequence(config.master_seed, spawn_key=(_CK_SEED_LANE,))
-        profile = estimate_ck_profile(template, config.ck_trials, ck_seed, sigma=config.sigma, ks=ks)
+        profile = estimate_ck_profile(template, config.ck_trials, ck_seed, ks=ks)
     if telemetry is not None:
         telemetry.trials += len(walks)
         telemetry.observations += sum(w[-1].observations for w in walks)

@@ -161,8 +161,9 @@ def softmax_expectation(f, mean) -> float:
 @dataclass(frozen=True)
 class AlignmentMoments:
     """Per-frequency moments of a = |N[k]| sin(phi_e[k]), b = |N[k]| cos(phi_e[k])
-    over fresh single-observation alignments, at the requested frequencies,
-    and the phase-rate constant C_k = E[a^2] / E[b]^2 with its standard error."""
+    over fresh single-observation alignments of unit noise, at the requested
+    frequencies, and the phase-rate constant C_k = E[a^2] / E[b]^2 with its
+    standard error.  C_k does not depend on the noise level; mu_b scales with it."""
 
     ks: np.ndarray
     mu_a: np.ndarray
@@ -175,15 +176,10 @@ class AlignmentMoments:
 
 
 def alignment_moments(
-    template: TemplateSignal,
-    trials: int,
-    seed,
-    *,
-    sigma: float = 1.0,
-    ks: Sequence[int],
+    template: TemplateSignal, trials: int, seed, *, ks: Sequence[int],
 ) -> AlignmentMoments:
-    """Run ``trials`` single-observation alignments and collect the per-k
-    moments of the residual-phase sine/cosine terms.
+    """Run ``trials`` single-observation alignments of unit noise and collect
+    the per-k moments of the residual-phase sine/cosine terms.
 
     The alignment runs through the production kernel, in fixed-size chunks of
     draws; ``N[k]`` is read from the kernel's rfft, as the conjugate of bin
@@ -209,7 +205,7 @@ def alignment_moments(
     total = 0.0
     for start, stop in chunks(trials, d):
         # correlation rows dropped; spec kept, as freeing it made each chunk fault in new pages
-        shifts, spec = align_rows(sigma * rng.standard_normal((stop - start, d)), template)[::2]
+        shifts, spec = align_rows(rng.standard_normal((stop - start, d)), template)[::2]
         z = spec[:, bins]
         np.conjugate(z, out=z, where=upper)
         z *= roots[np.outer(shifts, kset) % d] * frame
@@ -248,10 +244,10 @@ def alignment_moments(
 
 
 def estimate_ck_profile(
-    template: TemplateSignal, trials: int, seed, *, sigma: float = 1.0, ks: Sequence[int],
+    template: TemplateSignal, trials: int, seed, *, ks: Sequence[int],
 ) -> AlignmentMoments:
-    """The alignment moments and C_k at several frequencies, from at least
-    :data:`CK_MIN_DRAWS` draws.
+    """The unit-noise alignment moments and C_k at several frequencies, from
+    at least :data:`CK_MIN_DRAWS` draws.
 
     The numerator of C_k is the plain second moment of the sine term: its
     mean is 0 by the sign-flip symmetry of the argmax, so the second moment
@@ -259,7 +255,7 @@ def estimate_ck_profile(
     """
     if trials < CK_MIN_DRAWS:
         raise InvalidArgumentError(f"estimate_ck_profile needs at least {CK_MIN_DRAWS} trials")
-    return alignment_moments(template, trials, seed, sigma=sigma, ks=ks)
+    return alignment_moments(template, trials, seed, ks=ks)
 
 
 # ---------------------------------------------------------------------------
