@@ -214,10 +214,11 @@ def generate_template(spec: SignalFamilySpec) -> TemplateSignal:
 
     # zero-padded-pulse: a centered Gaussian bump whose support shrinks as the
     # pad ratio grows; tiny spectral bins are floored so the template keeps a
-    # non-vanishing spectrum and stays usable for alignment.
-    width = d / (1.0 + spec.pad_ratio)
-    i = np.arange(d)
-    bump = np.exp(-0.5 * ((i - d / 2) / (width / 8.0)) ** 2)
+    # non-vanishing spectrum and stays usable for alignment.  Past 40 standard
+    # deviations the bump is exp(-800) == 0.0, so offsets are clipped there and
+    # no pad ratio overflows the quotient: the limit is the centre sample alone.
+    sd = d / (1.0 + spec.pad_ratio) / 8.0
+    bump = np.exp(-0.5 * (np.minimum(np.abs(np.arange(d) - d / 2), 40.0 * sd) / sd) ** 2)
     z = np.fft.rfft(bump)
     mag = np.abs(z)
     mag = np.maximum(mag, 1e-6 * mag.max())

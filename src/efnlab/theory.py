@@ -287,4 +287,4 @@ def predict_magnitude(template: TemplateSignal, ks) -> np.ndarray:
     Monte-Carlo E[|N[k]| cos(phi_e[k])], ``mu_b`` of
     :func:`estimate_ck_profile`.
     """
-    return math.sqrt(2.0 * math.log(template.d)) * template.magnitudes[np.asarray(ks, dtype=int)]
+    return math.sqrt(2.0 * math.log(template.d)) * template.magnitudes[template.require_bins(ks)]

@@ -47,6 +47,29 @@ class TestRun:
         assert manifest["config"]["M"] == 40
         assert str(out / "stats.csv") in manifest["outputs"]
 
+    @pytest.mark.parametrize("sigma", [1e-300, 1e300])
+    def test_sigma_extremes_scale_only_the_magnitudes(self, tmp_path, capsys, sigma):
+        # trials and the C_k draws are unit noise, and sigma multiplies the four magnitude columns alone
+        magnitudes = {"mean_magnitude", "magnitude_stderr", "predicted_magnitude_thm1", "predicted_magnitude_thm2"}
+        runs = []
+        for s in (1.0, sigma):
+            cfg = write_config(tmp_path / f"cfg{s}.json", M=20, trials=2, frequencies=[1, 2, 5], sigma=s)
+            out = tmp_path / f"out{s}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            with (out / "stats.csv").open() as fh:
+                runs.append((list(csv.DictReader(fh)), json.loads((out / "summary.json").read_text())))
+        (one, one_summary), (far, far_summary) = runs
+        for key in ("mean_pearson", "pearson_stderr"):
+            assert far_summary[key] == one_summary[key]
+        for a, b in zip(one, far, strict=True):
+            for column in a:
+                if column in magnitudes:
+                    assert float(b[column]) == sigma * float(a[column]), column
+                else:
+                    assert b[column] == a[column], column
+
     def test_invalid_config_names_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
         doc = json.loads(cfg.read_text())
@@ -559,6 +582,17 @@ class TestGenTemplate:
         assert main(["gen-template", "--d", "8", "--beta", "1e308", "--out", str(out)]) == 2
         assert "cannot normalize a zero or non-finite signal" in capsys.readouterr().err
         assert not out.exists()
+
+
+    def test_huge_pad_ratio_is_the_centre_sample(self, tmp_path):
+        # offsets over a width near the smallest double must not overflow;
+        # already at 1e3 only the centre sample is above exp(-800)
+        outs = []
+        for ratio in ("1e3", "1e300", "1e308", "1.79e308"):
+            outs.append(tmp_path / f"t{ratio}.json")
+            argv = ["gen-template", "--family", "zero-padded-pulse", "--d", "8", "--pad-ratio", ratio]
+            assert main(argv + ["--out", str(outs[-1])]) == 0
+        assert len({p.read_bytes() for p in outs}) == 1
 
 
 class TestVersion:

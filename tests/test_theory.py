@@ -7,7 +7,7 @@ import pytest
 
 import efnlab as E
 from efnlab import alignment, experiment, verify
-from efnlab.errors import InsufficientDataError, InvalidArgumentError
+from efnlab.errors import ExcludedBinError, InsufficientDataError, InvalidArgumentError
 from efnlab.theory import ConditionalGaussian
 
 
@@ -296,8 +296,15 @@ class TestPredictions:
 
     def test_thm2_rejects_floor_bins(self):
         t = flat(16)  # zero DC
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(ExcludedBinError, match="bin 0 excluded"):
             E.predict_phase_mse(t, 0, 100)
+        with pytest.raises(ExcludedBinError, match="bin 0 excluded"):
+            E.predict_magnitude(t, [1, 0])
+        for k in (-1, 16):  # out of range, not wrapped round or an IndexError
+            with pytest.raises(InvalidArgumentError, match=f"frequency index {k} out of range"):
+                E.predict_phase_mse(t, k, 100)
+            with pytest.raises(InvalidArgumentError, match=f"frequency index {k} out of range"):
+                E.predict_magnitude(t, k)
 
     @pytest.mark.parametrize(
         "template, ks",
