@@ -583,7 +583,6 @@ class TestGenTemplate:
         assert "cannot normalize a zero or non-finite signal" in capsys.readouterr().err
         assert not out.exists()
 
-
     def test_huge_pad_ratio_is_the_centre_sample(self, tmp_path):
         # offsets over a width near the smallest double must not overflow;
         # already at 1e3 only the centre sample is above exp(-800)
