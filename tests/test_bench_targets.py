@@ -9,11 +9,13 @@ such a rename into a failure.
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
 
 from efnlab import verify
+from efnlab.cli import main
 from efnlab.estimator import EfnEstimate
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -62,3 +64,34 @@ def test_from_samples_is_a_classmethod():
 
 def test_verify_suites_exist():
     assert {"alignment", "symmetry", "gumbel", "prop3", "lemma1"} <= set(verify.SUITES)
+
+
+@pytest.mark.parametrize("sweep", [None, {"axis": "M", "values": [10, 20]}], ids=["plain", "m-sweep"])
+def test_traced_run_calls_the_wrapped_names(tmp_path, monkeypatch, sweep):
+    # the names must be called, not only present: a call that moves past a
+    # wrapped name would read as zero in the per-layer metrics
+    spans = _load_spans()
+    for module_name, attr, *_ in spans.TARGETS:  # so later tests see the originals
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    monkeypatch.setattr(EfnEstimate, "from_samples", vars(EfnEstimate)["from_samples"])
+    for suite in list(verify.SUITES):
+        monkeypatch.setitem(verify.SUITES, suite, verify.SUITES[suite])
+    monkeypatch.delenv("EFN_THREADS", raising=False)
+    recorder = spans.Recorder()
+    assert spans.install(recorder) == []
+
+    config = {
+        "template": {"family": "power-law-psd", "d": 64, "beta": 1.0, "phase_seed": 1},
+        "M": 20, "trials": 3, "master_seed": 1, "frequencies": [1, 5], "ck_trials": 1000, "sweep": sweep,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), "--threads", "1"]) == 0
+
+    names = [span[0] for span in recorder.spans]
+    assert names.count("experiment.run_trial") == 3
+    metrics = spans.layer_metrics(recorder.spans, 3 * 20)
+    assert metrics["theory.alignment_moments.draws"][0] == 1000
+    timed = [span for span in recorder.spans if span[0] == "experiment.run_experiment"]
+    assert [span[3] for span in timed] == ([] if sweep else [-1])  # the cli's own call, at top level

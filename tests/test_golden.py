@@ -3,10 +3,13 @@
 :func:`produce` runs a fixed list of small commands through
 ``efnlab.cli.main`` in this process and returns what each one wrote: the
 ``stats.csv`` and ``summary.json`` of ``efn run`` (an ``M`` sweep at
-``sigma`` 1 and 2, and a ``d`` sweep), the CSV of figures 2c, 3 ``--pad``
-and 4c at 2 trials, and the stdout of five small ``efn verify`` runs.  The
-test compares them with the files under ``tests/golden/``.  Manifests are
-left out: they hold timings and paths.
+``sigma`` 1 and 2, and a ``d`` sweep), the CSV of every figure (2b, 2c, 3,
+3 ``--pad``, 4b and 4c) at 2 trials, and the stdout of five small
+``efn verify`` runs.  Each run's manifest is pinned by the fields that do
+not change between runs or machines: ``command``, ``config``, ``counters``,
+``environment.workers`` and the output file names (not their paths), as
+``<name>_manifest.json``.  The test compares them with the files under
+``tests/golden/``.
 
 The files were made under the numpy version in
 ``tests/golden/numpy_version.txt``.  Under that version the comparison is
@@ -61,8 +64,11 @@ _RUNS = {
     "run_msweep_sigma1": (_M_SWEEP, []),
     "run_msweep_sigma2": ({**_M_SWEEP, "sigma": 2.0}, []),
     "run_dsweep": (_D_SWEEP, []),
+    "figure2b": (None, ["figure", "2b", "--trials", "2", "--seed", "3"]),
     "figure2c": (None, ["figure", "2c", "--trials", "2", "--seed", "3"]),
+    "figure3": (None, ["figure", "3", "--trials", "2", "--seed", "3"]),
     "figure3_pad": (None, ["figure", "3", "--pad", "--trials", "2", "--seed", "3"]),
+    "figure4b": (None, ["figure", "4b", "--trials", "2", "--seed", "3"]),
     "figure4c": (None, ["figure", "4c", "--trials", "2", "--seed", "3"]),
 }
 _VERIFY = {
@@ -75,6 +81,7 @@ _VERIFY = {
 NAMES = sorted(
     [f"{name}_{f}" for name, (config, _) in _RUNS.items() if config for f in ("stats.csv", "summary.json")]
     + [f"{name}.csv" for name, (config, _) in _RUNS.items() if not config]
+    + [f"{name}_manifest.json" for name in _RUNS]
     + [f"verify_{suite}.txt" for suite in _VERIFY]
 )
 
@@ -84,6 +91,18 @@ def _main(*argv) -> tuple[int, bytes]:
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = main(list(argv))
     return code, out.getvalue().encode()
+
+
+def _stable_manifest(manifest: dict) -> bytes:
+    """The manifest fields that do not change between runs or machines, as JSON."""
+    stable = {
+        "command": manifest["command"],
+        "config": manifest["config"],
+        "counters": manifest["counters"],
+        "environment": {"workers": manifest["environment"]["workers"]},
+        "outputs": [Path(p).name for p in manifest["outputs"]],
+    }
+    return (json.dumps(stable, indent=2) + "\n").encode()
 
 
 def produce(work: Path) -> dict[str, bytes]:
@@ -99,6 +118,7 @@ def produce(work: Path) -> dict[str, bytes]:
         for f in out.iterdir():
             if f.name != "manifest.json":
                 made[f"{name}_{f.name}" if config else f"{name}.csv"] = f.read_bytes()
+        made[f"{name}_manifest.json"] = _stable_manifest(json.loads((out / "manifest.json").read_text()))
     for suite, argv in _VERIFY.items():
         made[f"verify_{suite}.txt"] = _main("verify", suite, *argv)[1]  # gumbel fails at 100 replicates
     return made
