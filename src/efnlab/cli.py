@@ -92,30 +92,6 @@ def _summary(stats: AggregateStats) -> dict:
     }
 
 
-def _write_manifest(
-    out_dir: Path, command: str, config_doc: dict, outputs: list[Path], t0: float, telemetry: Telemetry
-) -> None:
-    manifest = {
-        "command": command,
-        "config": config_doc,
-        "tool_version": __version__,
-        "duration_seconds": time.time() - t0,
-        "outputs": [str(p) for p in outputs],
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-            "workers": telemetry.workers,
-        },
-        "counters": {
-            "trials": telemetry.trials,
-            "observations": telemetry.observations,
-            "ck_draws": telemetry.ck_draws,
-        },
-    }
-    _write_json(out_dir / "manifest.json", manifest)
-
-
 def _resolve_workers(args) -> int:
     workers, source = args.threads, "--threads"
     if workers is None:
@@ -159,29 +135,54 @@ def _load_config(path: str, args) -> ExperimentConfig:
     return ExperimentConfig.from_dict({**doc, **_flag_fields(args)})
 
 
-def cmd_run(args) -> int:
-    t0 = time.time()
-    config = _load_config(args.config, args)
+def _run_config(config: ExperimentConfig, args) -> tuple:
+    """Check --out and the worker count, then run the config; returns the output directory (not
+    yet made), the telemetry, and the :class:`AggregateStats` or, for a sweep, its (value, stats) pairs."""
     out_dir = _out_dir(args)
     workers = _resolve_workers(args)
     telemetry = Telemetry()
+    run = run_experiment if config.sweep is None else run_sweep
+    return out_dir, telemetry, run(config, workers, telemetry)
 
-    csv_path = out_dir / "stats.csv"
-    json_path = out_dir / "summary.json"
+
+def _write_outputs(
+    out_dir: Path, command: str, config: ExperimentConfig, tables: dict, t0: float, telemetry: Telemetry
+) -> None:
+    """Write each named table, a ``(header, rows)`` CSV or a JSON document by suffix, then the manifest."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = [out_dir / name for name in tables]
+    for path, table in zip(outputs, tables.values()):
+        if path.suffix == ".csv":
+            _write_csv(path, *table)
+        else:
+            _write_json(path, table)
+    manifest = {
+        "command": command,
+        "config": config.to_dict(),
+        "tool_version": __version__,
+        "duration_seconds": time.time() - t0,
+        "outputs": [str(p) for p in outputs],
+        "environment": {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "cpu_count": os.cpu_count(), "workers": telemetry.workers,
+        },
+        "counters": {name: getattr(telemetry, name) for name in ("trials", "observations", "ck_draws")},
+    }
+    _write_json(out_dir / "manifest.json", manifest)
+    print("wrote " + " and ".join(map(str, outputs)))
+
+
+def cmd_run(args) -> int:
+    t0 = time.time()
+    config = _load_config(args.config, args)
+    out_dir, telemetry, result = _run_config(config, args)
     if config.sweep is None:
-        stats = run_experiment(config, workers, telemetry)
-        header, rows, summary = list(CSV_COLUMNS), _stats_rows(stats), _summary(stats)
+        header, rows, summary = list(CSV_COLUMNS), _stats_rows(result), _summary(result)
     else:
         header = [config.sweep.axis, *CSV_COLUMNS]
-        rows, summary = [], []
-        for value, stats in run_sweep(config, workers, telemetry):
-            rows.extend([value, *row] for row in _stats_rows(stats))
-            summary.append({"value": value, **_summary(stats)})
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(csv_path, header, rows)
-    _write_json(json_path, summary)
-    _write_manifest(out_dir, "run", config.to_dict(), [csv_path, json_path], t0, telemetry)
-    print(f"wrote {csv_path} and {json_path}")
+        rows = [[value, *row] for value, stats in result for row in _stats_rows(stats)]
+        summary = [{"value": value, **_summary(stats)} for value, stats in result]
+    _write_outputs(out_dir, "run", config, {"stats.csv": (header, rows), "summary.json": summary}, t0, telemetry)
     return 0
 
 
@@ -222,37 +223,23 @@ def cmd_figure(args) -> int:
     if args.figure not in _FIGURE_IDS:
         raise InvalidArgumentError(f"unknown figure id {args.figure!r}; choose from {_FIGURE_IDS}")
     config = _figure_config(args.figure, args)
-    out_dir = _out_dir(args)
-    workers = _resolve_workers(args)
-    telemetry = Telemetry()
-    csv_path = out_dir / f"figure{args.figure}.csv"
-
+    out_dir, telemetry, result = _run_config(config, args)
     if args.figure in ("2b", "2c"):
         header, columns = ["M", "k", "mse", "stderr"], ["phase_mse", "phase_mse_stderr"]
         if args.figure == "2c":
             header += ["thm2_prediction", "thm1_prediction", "thm1_prediction_stderr"]
             columns += ["predicted_mse_thm2", "predicted_mse_thm1", "predicted_mse_thm1_stderr"]
-        rows = [
-            [int(M), *row]
-            for M, stats in run_sweep(config, workers, telemetry)
-            for row in _stats_rows(stats, columns)
-        ]
+        rows = [[int(M), *row] for M, stats in result for row in _stats_rows(stats, columns)]
     elif args.figure in ("3", "4b"):
-        results = run_sweep(config, workers, telemetry)
-        axis = config.sweep.axis
-        header = [axis, "pearson", "stderr"]
-        rows = [[v, s.mean_pearson, s.pearson_stderr] for v, s in results]
+        header = [config.sweep.axis, "pearson", "stderr"]
+        rows = [[v, s.mean_pearson, s.pearson_stderr] for v, s in result]
     else:  # 4c
-        stats = run_experiment(config, workers, telemetry)
         template = generate_template(config.template)
         header = ["k", "template_magnitude", "mse", "stderr", "thm2_prediction", "mse_ratio_thm2"]
         columns = ["phase_mse", "phase_mse_stderr", "predicted_mse_thm2", "mse_ratio_thm2"]
-        rows = [[k, template.magnitudes[k], *rest] for k, *rest in _stats_rows(stats, columns)]
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(csv_path, header, rows)
-    _write_manifest(out_dir, f"figure {args.figure}", config.to_dict(), [csv_path], t0, telemetry)
-    print(f"wrote {csv_path}")
+        rows = [[k, template.magnitudes[k], *rest] for k, *rest in _stats_rows(result, columns)]
+    tables = {f"figure{args.figure}.csv": (header, rows)}
+    _write_outputs(out_dir, f"figure {args.figure}", config, tables, t0, telemetry)
     return 0
 
 
