@@ -34,13 +34,12 @@ class ConditionalGaussian:
     """Law of the correlation sequence given one noise Fourier coefficient.
 
     mean[r] = 2 |X[k]| nmag cos(2*pi*k*r/d + nphase - phi_X[k]); the covariance
-    is circulant with Fourier weights ``spectral_eigenvalues`` (already scaled
-    by sigma2, so they sum to 1 and the diagonal is exactly 1).
+    is circulant with Fourier weights ``spectral_eigenvalues``, normalized so
+    the diagonal is 1 (the weights sum to 1).
     """
 
     mean: np.ndarray
     spectral_eigenvalues: np.ndarray
-    sigma2: float
 
     @property
     def d(self) -> int:
@@ -59,8 +58,8 @@ def build_conditional_gaussian(
     """Construct the conditional law at frequency k.
 
     The covariance weights zero the conditioned pair (k, d-k), keep bins 0 and
-    d/2 as-is, and scale every other bin by sqrt(2); sigma2 is then fixed so
-    the diagonal equals 1.
+    d/2 as-is, and scale every other bin by sqrt(2); they are then normalized
+    so the diagonal is 1.
     """
     d = template.d
     if not (0 <= k <= d - 1):
@@ -76,15 +75,11 @@ def build_conditional_gaussian(
     total = t.sum()
     if total <= 0.0:
         raise InvalidArgumentError("covariance weights vanish; template has no usable spectrum")
-    sigma2 = 1.0 / total
+    scale = 1.0 / total
     r = np.arange(d)
     phase = 2.0 * np.pi * k * r / d + noise_phase - template.phases[k]
     mean = 2.0 * template.magnitudes[k] * noise_magnitude * np.cos(phase)
-    return ConditionalGaussian(
-        mean=mean,
-        spectral_eigenvalues=sigma2 * t,
-        sigma2=sigma2,
-    )
+    return ConditionalGaussian(mean=mean, spectral_eigenvalues=scale * t)
 
 
 def sample_cyclostationary(cg: ConditionalGaussian, rng, size: int) -> np.ndarray:

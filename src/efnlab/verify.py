@@ -199,8 +199,8 @@ def prop3_case(d: int, draws: int, seed) -> tuple[float, float]:
 class Lemma1Report:
     """Empirical argmax frequencies of S1 ~ N(+mu, Sigma) vs S2 ~ N(-mu, Sigma).
 
-    mu[l] = cos(2*pi*k*l/d + phi); Sigma is the sigma2-normalized conditional
-    covariance built from the template at frequency k.  diff[l] estimates
+    mu[l] = cos(2*pi*k*l/d + phi); Sigma is the conditional covariance built
+    from the template at frequency k, normalized so the diagonal is 1.  diff[l] estimates
     P[argmax S1 = l] - P[argmax S2 = l], whose sign should match sign(mu[l]);
     conc_sum estimates sum_l cos(2*pi*k*l/d + phi) * diff[l], which should be
     positive.

@@ -76,9 +76,11 @@ class TestConditionalGaussian:
         np.testing.assert_allclose(np.diag(cg.covariance()), 1.0, atol=1e-12)
 
     def test_sigma2_approaches_half_for_flat_family(self):
+        # the normalizer, read off a bin outside {0, d/2, k, d-k}: lambda_j = 2 |X[j]|^2 / sum
         for d in (64, 256, 1024):
-            cg = E.build_conditional_gaussian(flat(d), 3, 1.0, 0.0)
-            assert abs(cg.sigma2 - 0.5) <= 2.0 / d
+            t = flat(d)
+            cg = E.build_conditional_gaussian(t, 3, 1.0, 0.0)
+            assert abs(cg.spectral_eigenvalues[1] / (2.0 * t.magnitudes[1] ** 2) - 0.5) <= 2.0 / d
 
     def test_invalid_k(self):
         with pytest.raises(InvalidArgumentError):
@@ -87,14 +89,12 @@ class TestConditionalGaussian:
 
 class TestSampler:
     def test_zero_eigenvalues_give_deterministic_mean(self):
-        cg = ConditionalGaussian(mean=np.zeros(8), spectral_eigenvalues=np.zeros(8), sigma2=1.0)
+        cg = ConditionalGaussian(mean=np.zeros(8), spectral_eigenvalues=np.zeros(8))
         np.testing.assert_array_equal(E.sample_cyclostationary(cg, 0, size=3), np.zeros((3, 8)))
 
     def test_flat_eigenvalues_have_no_lag_correlation(self):
         d = 16
-        cg = ConditionalGaussian(
-            mean=np.zeros(d), spectral_eigenvalues=np.full(d, 1.0 / d), sigma2=1.0
-        )
+        cg = ConditionalGaussian(mean=np.zeros(d), spectral_eigenvalues=np.full(d, 1.0 / d))
         z = E.sample_cyclostationary(cg, 5, size=100_000)
         lag1 = (z[:, :-1] * z[:, 1:]).mean()
         se = (z[:, :-1] * z[:, 1:]).std(ddof=1) / math.sqrt(z[:, 1:].size)
@@ -118,7 +118,7 @@ class TestSampler:
     @pytest.mark.parametrize("d", [7, 8])
     def test_asymmetric_eigenvalues_are_symmetrised(self, d):
         lam = np.random.default_rng(d).uniform(0.0, 2.0 / d, size=d)
-        cg = ConditionalGaussian(mean=np.zeros(d), spectral_eigenvalues=lam, sigma2=1.0)
+        cg = ConditionalGaussian(mean=np.zeros(d), spectral_eigenvalues=lam)
         g = sample_from(cg, np.eye(d))
         np.testing.assert_allclose(g.T @ g, cg.covariance(), rtol=0, atol=1e-12)
 
@@ -134,7 +134,7 @@ class TestSampler:
 
     def test_negative_eigenvalue_rejected(self):
         lam = np.array([0.5, -0.1, 0.4, 0.2])
-        cg = ConditionalGaussian(mean=np.zeros(4), spectral_eigenvalues=lam, sigma2=1.0)
+        cg = ConditionalGaussian(mean=np.zeros(4), spectral_eigenvalues=lam)
         with pytest.raises(InvalidArgumentError):
             E.sample_cyclostationary(cg, 0, size=1)
 
