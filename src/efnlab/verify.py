@@ -200,10 +200,10 @@ class Lemma1Report:
     """Empirical argmax frequencies of S1 ~ N(+mu, Sigma) vs S2 ~ N(-mu, Sigma).
 
     mu[l] = cos(2*pi*k*l/d + phi); Sigma is the conditional covariance built
-    from the template at frequency k, normalized so the diagonal is 1.  diff[l] estimates
-    P[argmax S1 = l] - P[argmax S2 = l], whose sign should match sign(mu[l]);
-    conc_sum estimates sum_l cos(2*pi*k*l/d + phi) * diff[l], which should be
-    positive.
+    from the template at frequency k, normalized so the diagonal is 1.
+    diff[l] estimates P[argmax S1 = l] - P[argmax S2 = l], whose sign should
+    match sign(mu[l]); conc_sum estimates sum_l cos(2*pi*k*l/d + phi) *
+    diff[l], which should be positive.
     """
 
     mu: np.ndarray
