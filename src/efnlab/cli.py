@@ -12,8 +12,9 @@ version       Print the tool version.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error.  Flags
 override config fields; precedence is flags > config > defaults.  The worker
-count comes from --threads, then the EFN_THREADS environment variable.  This
-is the one module that knows a file format.
+count of run, figure and verify comes from --threads, then the EFN_THREADS
+environment variable, then the number of usable cores; no output depends on
+it.  This is the one module that knows a file format.
 """
 
 from __future__ import annotations
@@ -93,11 +94,12 @@ def _summary(stats: AggregateStats) -> dict:
 
 
 def _resolve_workers(args) -> int:
+    """The worker count: --threads, then EFN_THREADS, then the usable cores."""
     workers, source = args.threads, "--threads"
     if workers is None:
         env = os.environ.get("EFN_THREADS", "").strip()
         if not env:
-            return 1
+            return len(os.sched_getaffinity(0))
         source = "EFN_THREADS"
         try:
             workers = int(env)
@@ -244,7 +246,10 @@ def cmd_figure(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rows = run_suite(args.suite, cases=args.cases, draws=args.draws, replicates=args.replicates, seed=args.seed)
+    workers = _resolve_workers(args)
+    rows = run_suite(
+        args.suite, workers, cases=args.cases, draws=args.draws, replicates=args.replicates, seed=args.seed
+    )
     ok = True
     for row in rows:
         print(row.format())
@@ -280,9 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="efn", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    shared = argparse.ArgumentParser(add_help=False)
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, help="worker processes (default: EFN_THREADS, else the usable cores)")
+    shared = argparse.ArgumentParser(add_help=False, parents=[threads])
     shared.add_argument("--out", default=".", help="output directory")
-    shared.add_argument("--threads", type=int, help="worker process cap")
     shared.add_argument("--trials", type=int, help="trial count")
     shared.add_argument("--seed", type=int, dest="master_seed", help="master seed")
 
@@ -296,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig_p.add_argument("--pad", action="store_true", help="figure 3: sweep pad ratio instead of beta")
     fig_p.set_defaults(fn=cmd_figure)
 
-    ver_p = sub.add_parser("verify", help="run a verification suite")
+    ver_p = sub.add_parser("verify", parents=[threads], help="run a verification suite")
     ver_p.add_argument("suite", help=" | ".join([*SUITES, "all"]))
     ver_p.add_argument("--cases", type=int)
     ver_p.add_argument("--draws", type=int)

@@ -9,9 +9,10 @@ each chunk continues the stream where the last one stopped.  So a trial does
 not depend on the chunk size, and its first M' observations are those of the
 M'-observation trial.  An M sweep is therefore one walk per trial to the
 largest M that reads the running total at every M on the way, and one C_k
-profile for all of them.  Trials are aggregated in index order.  Together
-these make the output identical whether trials ran serially or across a
-process pool.
+profile for all of them.  That profile draws keyed blocks of its own seed
+(:func:`_ck_seed`), disjoint from every trial's.  Trials are aggregated in
+index order, and the profile's blocks in block order.  Together these make
+the output identical whether trials ran serially or across a process pool.
 """
 
 from __future__ import annotations
@@ -20,20 +21,20 @@ import dataclasses
 import functools
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError, entries, integral, real, typed
-from .alignment import align_rows, chunks
+from .alignment import align_rows, chunks, pool_size, run_blocks
 from .estimator import EfnEstimate, pearson_correlation
 from .signals import SignalFamilySpec, TemplateSignal, generate_template, polar, wrap_phase
 from .theory import CK_MIN_DRAWS, AlignmentMoments, estimate_ck_profile, predict_magnitude, predict_phase_mse
 
-# Reserved single-element spawn key for the prediction Monte-Carlo; disjoint
-# from the (trial, 0) two-element keys used for noise streams.
+# The prediction Monte-Carlo is seeded by spawn key (_CK_SEED_LANE, 1); its
+# blocks' keys (_CK_SEED_LANE, 1, b) have three elements, so none is a
+# trial's (trial, 0).
 _CK_SEED_LANE = 0x5EED
 
 SWEEP_AXES = ("M", "d", "beta", "pad-ratio")
@@ -286,29 +287,30 @@ def aggregate_trials(
     )
 
 
-def _walk(config: ExperimentConfig, workers: int, telemetry: Optional[Telemetry]) -> list:
+def _ck_seed(master_seed: int) -> np.random.SeedSequence:
+    """The seed of an experiment's C_k profile, apart from every trial's stream."""
+    return np.random.SeedSequence(master_seed, spawn_key=(_CK_SEED_LANE, 1))
+
+
+def _walk(config: ExperimentConfig, workers: Optional[int], telemetry: Optional[Telemetry]) -> list:
     """Run every trial's walk, then aggregate each checkpoint: one
     :class:`AggregateStats` per entry of ``config.checkpoints``.
 
-    The trials run on one process pool when ``workers`` > 1, and the C_k
-    profile is estimated once, after them, for all checkpoints.
+    The trials are the blocks of one :func:`~efnlab.alignment.run_blocks`
+    call on up to ``workers`` processes (None: the usable cores), and the
+    C_k profile is estimated once, after them, for all checkpoints.
     """
     template, ks = _template_of(config)  # rejects a bad template or bin before any trial runs
-    pool_size = max(1, min(workers, config.trials))
-    if pool_size == 1:
-        walks = [run_trial(config, t) for t in range(config.trials)]
-    else:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            walks = list(pool.map(run_trial, [config] * config.trials, range(config.trials)))
+    walks = run_blocks(run_trial, [(config, t) for t in range(config.trials)], workers)
     profile = None
     if ks.size:  # the C_k profile does not depend on M
-        ck_seed = np.random.SeedSequence(config.master_seed, spawn_key=(_CK_SEED_LANE,))
-        profile = estimate_ck_profile(template, config.ck_trials, ck_seed, ks=ks)
+        seed = _ck_seed(config.master_seed)
+        profile = estimate_ck_profile(template, config.ck_trials, seed, ks=ks, workers=workers)
     if telemetry is not None:
         telemetry.trials += len(walks)
         telemetry.observations += sum(w[-1].observations for w in walks)
         telemetry.ck_draws += profile.trials if profile is not None else 0
-        telemetry.workers = max(telemetry.workers, pool_size)
+        telemetry.workers = max(telemetry.workers, pool_size(workers, config.trials))
     return [
         aggregate_trials(
             dataclasses.replace(config, M=M, sweep=None), [w[i] for w in walks], profile
@@ -318,10 +320,10 @@ def _walk(config: ExperimentConfig, workers: int, telemetry: Optional[Telemetry]
 
 
 def run_experiment(
-    config: ExperimentConfig, workers: int = 1, telemetry: Optional[Telemetry] = None
+    config: ExperimentConfig, workers: Optional[int] = None, telemetry: Optional[Telemetry] = None
 ) -> AggregateStats:
-    """Run all trials (optionally across processes) and aggregate: the
-    one-checkpoint walk.  Any sweep in the config is ignored.
+    """Run all trials on up to ``workers`` processes (None: the usable cores)
+    and aggregate: the one-checkpoint walk.  Any sweep in the config is ignored.
 
     The aggregate is identical for any worker count: trials are keyed by
     index, not by completion order.
@@ -345,7 +347,7 @@ def sweep_configs(config: ExperimentConfig) -> list[tuple[float, ExperimentConfi
 
 
 def run_sweep(
-    config: ExperimentConfig, workers: int = 1, telemetry: Optional[Telemetry] = None
+    config: ExperimentConfig, workers: Optional[int] = None, telemetry: Optional[Telemetry] = None
 ) -> list[tuple[float, AggregateStats]]:
     """(value, stats) for each sweep value.
 

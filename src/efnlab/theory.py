@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .alignment import align_rows, chunks
+from .alignment import align_rows, blocks, chunks, run_blocks
 from .errors import InvalidArgumentError
 from .signals import TemplateSignal
 
@@ -170,35 +170,16 @@ class AlignmentMoments:
     trials: int
 
 
-def alignment_moments(
-    template: TemplateSignal, trials: int, seed, *, ks: Sequence[int],
-) -> AlignmentMoments:
-    """Run ``trials`` single-observation alignments of unit noise and collect
-    the per-k moments of the residual-phase sine/cosine terms.
-
-    The alignment runs through the production kernel, in fixed-size chunks of
-    draws; ``N[k]`` is read from the kernel's rfft, as the conjugate of bin
-    d-k for k > d/2, and turned into the template's phase frame by one
-    complex rotation, N[k] e^{2 pi i k s / d} e^{-i phi_X[k]} / sqrt(d), whose
-    root of unity comes from a table; its imaginary part is a and its real
-    part b.  Each chunk's terms are summed into the running totals in draw
-    order, so the result does not depend on the chunk size.
-    """
-    template.require_alignable()
-    if trials < 1:
-        raise InvalidArgumentError("alignment_moments needs at least 1 draw")
+def _moment_sums(template: TemplateSignal, kset: np.ndarray, seed, draws: int) -> np.ndarray:
+    """The (6, len(kset)) sums of a, a^2, a^4, b, b^2 and a^2 b over one block's draws, in row order."""
     d = template.d
-    kset = np.asarray(list(ks), dtype=int)
-    if kset.size and (kset.min() < 0 or kset.max() > d - 1):
-        raise InvalidArgumentError("requested frequency outside [0, d-1]")
     upper = kset > d // 2
     bins = np.where(upper, d - kset, kset)
     frame = np.exp(-1j * template.phases[kset]) / math.sqrt(d)
     roots = np.exp(2j * np.pi * np.arange(d) / d)
     rng = np.random.default_rng(seed)
-
     total = 0.0
-    for start, stop in chunks(trials, d):
+    for start, stop in chunks(draws, d):
         # correlation rows dropped; spec kept, as freeing it made each chunk fault in new pages
         shifts, spec = align_rows(rng.standard_normal((stop - start, d)), template)[::2]
         z = spec[:, bins]
@@ -215,6 +196,36 @@ def alignment_moments(
         terms[0] += total
         total = terms.sum(axis=0)
         del z, terms, a, a2, a4, b, b2, a2b  # freed before the next chunk aligns
+    return total
+
+
+def alignment_moments(
+    template: TemplateSignal, trials: int, seed, *, ks: Sequence[int], workers: Optional[int] = None,
+) -> AlignmentMoments:
+    """Run ``trials`` single-observation alignments of unit noise and collect
+    the per-k moments of the residual-phase sine/cosine terms.
+
+    The draws are split into keyed blocks (:func:`~efnlab.alignment.blocks`
+    of ``seed``, an int or a SeedSequence) that run on up to ``workers``
+    processes.  Within a block the alignment runs through the production
+    kernel, in fixed-size chunks of draws; ``N[k]`` is read from the
+    kernel's rfft, as the conjugate of bin d-k for k > d/2, and turned into
+    the template's phase frame by one complex rotation, N[k] e^{2 pi i k s /
+    d} e^{-i phi_X[k]} / sqrt(d), whose root of unity comes from a table;
+    its imaginary part is a and its real part b.  Each chunk's terms are
+    summed into the block's totals in draw order, and the block totals are
+    added in block order, so the result depends on neither the chunk size
+    nor the worker count.
+    """
+    template.require_alignable()
+    if trials < 1:
+        raise InvalidArgumentError("alignment_moments needs at least 1 draw")
+    d = template.d
+    kset = np.asarray(list(ks), dtype=int)
+    if kset.size and (kset.min() < 0 or kset.max() > d - 1):
+        raise InvalidArgumentError("requested frequency outside [0, d-1]")
+    parts = run_blocks(_moment_sums, [(template, kset, ss, n) for ss, n in blocks(trials, seed)], workers)
+    total = sum(parts)
 
     mu_a, m2a, m4a, mu_b, m2b, m2ab = total / trials
     var_a = np.maximum(m2a - mu_a**2, 0.0)
@@ -239,7 +250,7 @@ def alignment_moments(
 
 
 def estimate_ck_profile(
-    template: TemplateSignal, trials: int, seed, *, ks: Sequence[int],
+    template: TemplateSignal, trials: int, seed, *, ks: Sequence[int], workers: Optional[int] = None,
 ) -> AlignmentMoments:
     """The unit-noise alignment moments and C_k at several frequencies, from
     at least :data:`CK_MIN_DRAWS` draws.
@@ -250,7 +261,7 @@ def estimate_ck_profile(
     """
     if trials < CK_MIN_DRAWS:
         raise InvalidArgumentError(f"estimate_ck_profile needs at least {CK_MIN_DRAWS} trials")
-    return alignment_moments(template, trials, seed, ks=ks)
+    return alignment_moments(template, trials, seed, ks=ks, workers=workers)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Alignment: correlation routes, argmax estimation, equivariances."""
+"""Alignment: correlation routes, argmax estimation, equivariances, the block runner."""
+
+import os
 
 import numpy as np
 import pytest
@@ -177,3 +179,60 @@ class TestFourierRoute:
             r = int(np.argmax(E.fourier_correlation_sequence(n, t)))
             r_flip = int(np.argmax(E.fourier_correlation_sequence(n_flip, t)))
             assert r_flip == (-r) % 32
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+
+class _RecordingPool:
+    """A serial stand-in for ProcessPoolExecutor that records how it was made."""
+
+    made = []
+
+    def __init__(self, max_workers, mp_context):
+        self.made.append((max_workers, mp_context.get_start_method()))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestRunBlocks:
+    def test_blocks_are_keyed_and_cover_the_draws(self):
+        parent = np.random.SeedSequence(5, spawn_key=(7,))
+        for seed, key in ((5, ()), (parent, (7,))):
+            got = alignment.blocks(2 * alignment.BLOCK + 3, seed)
+            assert [n for _, n in got] == [alignment.BLOCK, alignment.BLOCK, 3]
+            assert [(ss.entropy, ss.spawn_key) for ss, _ in got] == [(5, (*key, b)) for b in range(3)]
+        assert alignment.blocks(0, 5) == []
+
+    @pytest.mark.parametrize("workers", [None, 1, 2, 3])
+    def test_results_come_back_in_block_order(self, workers):
+        assert alignment.run_blocks(pow, [(2, i) for i in range(9)], workers) == [2**i for i in range(9)]
+
+    def test_pool_size(self):
+        assert alignment.pool_size(None, 10**6) == len(os.sched_getaffinity(0))
+        assert alignment.pool_size(3, 2) == 2
+        assert alignment.pool_size(3, 0) == 1
+
+    def test_one_block_or_one_worker_starts_no_pool(self, monkeypatch):
+        monkeypatch.setattr(alignment, "ProcessPoolExecutor", _NoPool)
+        assert alignment.run_blocks(pow, [(2, 5)], 4) == [32]
+        assert alignment.run_blocks(pow, [(2, 5), (3, 2)], 1) == [32, 9]
+        E.alignment_moments(plaw(16), alignment.BLOCK, 0, ks=[1], workers=4)
+        with pytest.raises(AssertionError, match="pool was started"):
+            alignment.run_blocks(pow, [(2, 5), (3, 2)], 2)
+
+    def test_pool_forks(self, monkeypatch):
+        # forked workers inherit the imported package instead of importing it again
+        monkeypatch.setattr(alignment, "ProcessPoolExecutor", _RecordingPool)
+        _RecordingPool.made.clear()
+        assert alignment.run_blocks(pow, [(2, i) for i in range(5)], 3) == [1, 2, 4, 8, 16]
+        assert _RecordingPool.made == [(3, "fork")]

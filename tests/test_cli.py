@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from efnlab import cli, experiment, verify
+from efnlab import alignment, cli, experiment, verify
 from efnlab.cli import main
 from efnlab.experiment import ExperimentConfig
 from efnlab.signals import SignalFamilySpec, generate_template
@@ -168,9 +168,12 @@ class TestRun:
     def test_efn_threads_env_fallback(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "cfg.json")
         a, b = tmp_path / "serial", tmp_path / "pooled"
+        monkeypatch.setenv("EFN_THREADS", "1")
         assert main(["run", "--config", str(cfg), "--out", str(a)]) == 0
+        assert json.loads((a / "manifest.json").read_text())["environment"]["workers"] == 1
         monkeypatch.setenv("EFN_THREADS", "2")
         assert main(["run", "--config", str(cfg), "--out", str(b)]) == 0
+        assert json.loads((b / "manifest.json").read_text())["environment"]["workers"] == 2
         assert (a / "stats.csv").read_bytes() == (b / "stats.csv").read_bytes()
 
     @pytest.mark.parametrize("frequencies", [[], [2]])
@@ -513,14 +516,33 @@ class TestVerify:
 
         for suite in verify.SUITES:
             monkeypatch.setitem(verify.SUITES, suite, recorder(suite))
-        assert verify.run_suite("all", cases=1, draws=100_000, replicates=100, seed=7) == []
+        assert verify.run_suite("all", 3, cases=1, draws=100_000, replicates=100, seed=7) == []
         assert calls == {
             "alignment": {"cases": 1, "seed": 7},
-            "symmetry": {"draws": 100_000, "seed": 7},
+            "symmetry": {"draws": 100_000, "seed": 7, "workers": 3},
             "gumbel": {"replicates": 100, "seed": 7},
-            "prop3": {"draws": 100_000, "seed": 7},
-            "lemma1": {"draws": 100_000, "seed": 7},
+            "prop3": {"draws": 100_000, "seed": 7, "workers": 3},
+            "lemma1": {"draws": 100_000, "seed": 7, "workers": 3},
         }
+
+    def test_verify_all_is_the_same_on_any_worker_count(self, capsys, monkeypatch):
+        # lemma1's floor is lowered so that each pooled suite runs four blocks, not 25 to 49
+        draws = str(3 * alignment.BLOCK + 5)
+        monkeypatch.setitem(verify.MIN_COUNTS["lemma1"], "draws", 1)
+        monkeypatch.setattr(verify, "LEMMA1_MIN_DRAWS", 1)
+        runs = []
+        for threads in ("1", "2", "3"):
+            argv = ["verify", "all", "--threads", threads, "--draws", draws, "--cases", "20", "--replicates", "100"]
+            code = main(argv)
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0][1].count("\n") == 33
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_usage_error(self, capsys, threads):
+        assert main(["verify", "alignment", "--cases", "2", "--threads", threads]) == 2
+        captured = capsys.readouterr()
+        assert "--threads must be >= 1" in captured.err and captured.out == ""
 
     def test_lemma1_suite_quick(self, capsys):
         assert main(["verify", "lemma1", "--draws", "100000"]) == 0

@@ -64,10 +64,16 @@ class TestSeeding:
         assert not np.array_equal(a, b)
 
     def test_trial_stream_differs_from_ck_lane(self):
-        # a one-element (trial,) key would reuse the C_k stream at this trial index
+        # a one-element (lane,) C_k key would give block 0 the key (lane, 0) of trial `lane`
         lane = experiment._CK_SEED_LANE
-        ck = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(lane,)))
+        ck = np.random.default_rng(alignment.blocks(16_000, experiment._ck_seed(9))[0][0])
         assert not np.array_equal(E.observation_rng(9, lane).standard_normal(8), ck.standard_normal(8))
+
+    def test_no_ck_block_key_is_a_trial_key(self):
+        keys = [ss.spawn_key for ss, _ in alignment.blocks(100 * alignment.BLOCK, experiment._ck_seed(9))]
+        assert len(set(keys)) == 100 and {len(k) for k in keys} == {3}
+        trial_keys = {(t, 0) for t in (*range(200), experiment._CK_SEED_LANE)}
+        assert not trial_keys & set(keys)
 
     def test_trial_is_prefix_of_longer_trial(self):
         # the first M' rows of the M-row stream are the M'-observation trial
@@ -199,9 +205,8 @@ class TestAggregation:
         # the experiment's C_k profile is drawn from its own seed lane
         cfg = small_config(trials=2, ck_trials=1000)
         stats = E.run_experiment(cfg)
-        ck_seed = np.random.SeedSequence(cfg.master_seed, spawn_key=(experiment._CK_SEED_LANE,))
         profile = E.estimate_ck_profile(
-            E.generate_template(cfg.template), 1000, ck_seed, ks=cfg.frequencies
+            E.generate_template(cfg.template), 1000, experiment._ck_seed(cfg.master_seed), ks=cfg.frequencies
         )
         np.testing.assert_array_equal(stats.predicted_mse_thm1_stderr, profile.ck_stderr / cfg.M)
         assert np.all(stats.predicted_mse_thm1_stderr > 0)
@@ -397,14 +402,14 @@ class TestSweeps:
         monkeypatch.setattr(experiment, "estimate_ck_profile", counting_profile)
         cfg = small_config(trials=3, sweep=E.SweepSpec("M", (5, 10, 20, 40)), ck_trials=1000)
         telemetry = E.Telemetry()
-        E.run_sweep(cfg, telemetry=telemetry)
+        E.run_sweep(cfg, workers=1, telemetry=telemetry)  # counted in this process
         assert drawn == [40, 40, 40]
         assert len(profiles) == 1
         assert (telemetry.trials, telemetry.observations, telemetry.ck_draws) == (3, 120, 1000)
 
         drawn.clear()
         profiles.clear()
-        E.run_sweep(small_config(trials=2, sweep=E.SweepSpec("d", (64, 128)), ck_trials=1000))
+        E.run_sweep(small_config(trials=2, sweep=E.SweepSpec("d", (64, 128)), ck_trials=1000), workers=1)
         assert drawn == [50] * 4
         assert len(profiles) == 2
 

@@ -290,8 +290,7 @@ class TestPredictions:
             template=spec, M=10, trials=2, master_seed=5, frequencies=(1, 2), ck_trials=5000
         )
         stats = E.run_experiment(cfg)
-        ck_seed = np.random.SeedSequence(5, spawn_key=(experiment._CK_SEED_LANE,))
-        profile = E.estimate_ck_profile(delta(8), 5000, ck_seed, ks=[1, 2])
+        profile = E.estimate_ck_profile(delta(8), 5000, experiment._ck_seed(5), ks=[1, 2])
         np.testing.assert_array_equal(stats.predicted_magnitude_thm1, profile.mu_b)
 
     def test_thm2_rejects_floor_bins(self):
@@ -357,7 +356,7 @@ class TestLemma1:
             return sampler(cg, rng, size)
 
         monkeypatch.setattr(verify, "sample_cyclostationary", counting)
-        verify.lemma1_check(delta(8), 1, 0.0, 100_000, 9)
+        verify.lemma1_check(delta(8), 1, 0.0, 100_000, 9, workers=1)  # counted in this process
         assert sum(drawn) == 100_000
 
     def test_insufficient_draws_rejected(self):
@@ -375,12 +374,12 @@ class TestLemma1:
         assert chunked.conc_sum_stderr == whole.conc_sum_stderr
 
     def test_matches_per_draw_reference(self):
-        # one sampler block, then the per-draw paired statistics
+        # one sampler call per keyed block, then the per-draw paired statistics
         d, k, phi, n, seed = 8, 1, 2.0 * math.pi / 3.0, 100_000, 6
         t = delta(d)
         rep = E.lemma1_check(t, k, phi, n, seed)
         cg = E.build_conditional_gaussian(t, k, 0.0, 0.0)
-        z = E.sample_cyclostationary(cg, np.random.default_rng(seed), size=n)
+        z = np.concatenate([E.sample_cyclostationary(cg, ss, size=size) for ss, size in alignment.blocks(n, seed)])
         mu = np.cos(2.0 * np.pi * k * np.arange(d) / d + phi)
         r1 = np.argmax(z + mu, axis=1)
         r2 = np.argmax(z - mu, axis=1)
@@ -403,6 +402,30 @@ class TestVerifyMonteCarlo:
         whole = verify.prop3_case(d, 20_003, 2)
         monkeypatch.setattr(alignment, "BUDGET", 7 * d)
         assert verify.prop3_case(d, 20_003, 2) == whole
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda workers: verify.prop3_case(64, 3 * alignment.BLOCK + 5, 2, workers),
+            lambda workers: verify.lemma1_check(delta(8), 1, math.pi / 3.0, 100_003, 4, workers),
+            lambda workers: E.alignment_moments(
+                beta_one(64), 2 * alignment.BLOCK + 7, 11, ks=[0, 1, 5, 32, 40], workers=workers
+            ),
+        ],
+        ids=["prop3_case", "lemma1_check", "alignment_moments"],
+    )
+    def test_keyed_blocks_are_worker_and_chunk_invariant(self, monkeypatch, run):
+        def as_bytes(result):
+            values = result if isinstance(result, tuple) else vars(result).values()
+            return b"".join(np.asarray(v).tobytes() for v in values)
+
+        want = None
+        for budget in (alignment.BUDGET, 7 * 64):
+            monkeypatch.setattr(alignment, "BUDGET", budget)
+            for workers in (1, 2, 3):
+                got = as_bytes(run(workers))
+                want = want or got
+                assert got == want, (budget, workers)
 
     def test_gumbel_matches_single_block(self, monkeypatch):
         d, n, seed = 64, 5000, 3
@@ -452,7 +475,8 @@ class TestAlignmentMoments:
         t = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=d, beta=0.5, phase_seed=3))
         ks = np.arange(d)
         m = E.alignment_moments(t, n, seed, ks=ks)
-        noise = np.random.default_rng(seed).standard_normal((n, d))
+        blocks = alignment.blocks(n, seed)
+        noise = np.concatenate([np.random.default_rng(ss).standard_normal((size, d)) for ss, size in blocks])
         shifts = np.array([np.argmax(E.correlation_oracle(row, t)) for row in noise])
         spec = np.fft.fft(noise, axis=1) / math.sqrt(d)
         phi_e = 2.0 * np.pi * ks[None, :] * shifts[:, None] / d + np.angle(spec) - t.phases
