@@ -64,10 +64,15 @@ def blocks(count: int, seed) -> list[tuple[np.random.SeedSequence, int]]:
     ]
 
 
+def usable_cores() -> int:
+    """The cores this process may run on (its CPU affinity): the default worker count."""
+    return len(os.sched_getaffinity(0))
+
+
 def pool_size(workers: Optional[int], count: int) -> int:
     """Processes that :func:`run_blocks` runs ``count`` blocks on: ``workers``
     (None: the usable cores), and at most one per block."""
-    cores = len(os.sched_getaffinity(0)) if workers is None else workers
+    cores = usable_cores() if workers is None else workers
     return max(1, min(cores, count))
 
 

@@ -11,10 +11,9 @@ gen-template  Write a template signal to JSON or CSV.
 version       Print the tool version.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error.  Flags
-override config fields; precedence is flags > config > defaults.  The worker
-count of run, figure and verify comes from --threads, then the EFN_THREADS
-environment variable, then the number of usable cores; no output depends on
-it.  This is the one module that knows a file format.
+override config fields; precedence is flags > config > defaults.  run, figure
+and verify run on --threads worker processes, else on the usable cores; no
+output depends on it.  This is the one module that knows a file format.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .alignment import usable_cores
 from .errors import InvalidArgumentError
 from .experiment import (
     AggregateStats,
@@ -93,21 +93,14 @@ def _summary(stats: AggregateStats) -> dict:
     }
 
 
-def _resolve_workers(args) -> int:
-    """The worker count: --threads, then EFN_THREADS, then the usable cores."""
-    workers, source = args.threads, "--threads"
-    if workers is None:
-        env = os.environ.get("EFN_THREADS", "").strip()
-        if not env:
-            return len(os.sched_getaffinity(0))
-        source = "EFN_THREADS"
-        try:
-            workers = int(env)
-        except ValueError as e:
-            raise InvalidArgumentError(f"EFN_THREADS: {e}") from e
-    if workers < 1:
-        raise InvalidArgumentError(f"{source} must be >= 1, got {workers}")
-    return workers
+def _threads(args) -> int | None:
+    """--threads, from 1 to the usable cores; None (the usable cores) when not given."""
+    threads, cores = args.threads, usable_cores()
+    if threads is not None and threads < 1:
+        raise InvalidArgumentError(f"--threads must be >= 1, got {threads}")
+    if threads is not None and threads > cores:
+        raise InvalidArgumentError(f"--threads must be <= {cores}, the usable cores, got {threads}")
+    return threads
 
 
 def _flag_fields(args) -> dict:
@@ -116,9 +109,9 @@ def _flag_fields(args) -> dict:
     return {k: v for k, v in vars(args).items() if k in fields and v is not None}
 
 
-def _out_dir(args) -> Path:
-    """The --out directory, made only when written to; a non-directory there is rejected now."""
-    out = Path(args.out)
+def _out_dir(path) -> Path:
+    """The --out directory ``path``, made only when written to; a non-directory there is rejected now."""
+    out = Path(path)
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():
         raise InvalidArgumentError(f"--out: {existing} exists and is not a directory")
@@ -140,11 +133,10 @@ def _load_config(path: str, args) -> ExperimentConfig:
 def _run_config(config: ExperimentConfig, args) -> tuple:
     """Check --out and the worker count, then run the config; returns the output directory (not
     yet made), the telemetry, and the :class:`AggregateStats` or, for a sweep, its (value, stats) pairs."""
-    out_dir = _out_dir(args)
-    workers = _resolve_workers(args)
+    out_dir = _out_dir(args.out)
     telemetry = Telemetry()
     run = run_experiment if config.sweep is None else run_sweep
-    return out_dir, telemetry, run(config, workers, telemetry)
+    return out_dir, telemetry, run(config, _threads(args), telemetry)
 
 
 def _write_outputs(
@@ -246,9 +238,8 @@ def cmd_figure(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    workers = _resolve_workers(args)
     rows = run_suite(
-        args.suite, workers, cases=args.cases, draws=args.draws, replicates=args.replicates, seed=args.seed
+        args.suite, _threads(args), cases=args.cases, draws=args.draws, replicates=args.replicates, seed=args.seed
     )
     ok = True
     for row in rows:
@@ -263,6 +254,9 @@ def cmd_gen_template(args) -> int:
     suffix = out.suffix.lower()
     if suffix not in (".json", ".csv"):
         raise InvalidArgumentError(f"--out must end in .json or .csv, got {out.name!r}")
+    if out.is_dir():
+        raise InvalidArgumentError(f"--out: {out} is a directory")
+    _out_dir(out.parent)
     spec = SignalFamilySpec(
         family=args.family,
         d=args.d,
@@ -272,6 +266,7 @@ def cmd_gen_template(args) -> int:
         zero_dc=not args.keep_dc,
     )
     template = generate_template(spec)
+    out.parent.mkdir(parents=True, exist_ok=True)
     if suffix == ".csv":
         _write_csv(out, ["sample"], [[v] for v in template.samples])
     else:
@@ -286,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument("--threads", type=int, help="worker processes (default: EFN_THREADS, else the usable cores)")
+    threads.add_argument("--threads", type=int, help="worker processes, 1 to the usable cores (default: all of them)")
     shared = argparse.ArgumentParser(add_help=False, parents=[threads])
     shared.add_argument("--out", default=".", help="output directory")
     shared.add_argument("--trials", type=int, help="trial count")

@@ -11,7 +11,6 @@ bins a caller reads them.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -163,7 +162,7 @@ class SignalFamilySpec:
         if self.samples is not None:
             samples = entries("template.samples", self.samples)
             for v in samples:
-                typed("template.samples", v, numbers.Real, "a number")
+                real("template.samples", v, -math.inf)
             if len(samples) != d:
                 raise InvalidArgumentError(f"template.samples must hold d = {d} numbers, got {len(samples)}")
             object.__setattr__(self, "samples", samples)

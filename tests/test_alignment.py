@@ -181,11 +181,6 @@ class TestFourierRoute:
             assert r_flip == (-r) % 32
 
 
-class _NoPool:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-
 class _RecordingPool:
     """A serial stand-in for ProcessPoolExecutor that records how it was made."""
 
@@ -218,12 +213,12 @@ class TestRunBlocks:
         assert alignment.run_blocks(pow, [(2, i) for i in range(9)], workers) == [2**i for i in range(9)]
 
     def test_pool_size(self):
+        assert alignment.usable_cores() == len(os.sched_getaffinity(0))
         assert alignment.pool_size(None, 10**6) == len(os.sched_getaffinity(0))
         assert alignment.pool_size(3, 2) == 2
         assert alignment.pool_size(3, 0) == 1
 
-    def test_one_block_or_one_worker_starts_no_pool(self, monkeypatch):
-        monkeypatch.setattr(alignment, "ProcessPoolExecutor", _NoPool)
+    def test_one_block_or_one_worker_starts_no_pool(self, no_pool):
         assert alignment.run_blocks(pow, [(2, 5)], 4) == [32]
         assert alignment.run_blocks(pow, [(2, 5), (3, 2)], 1) == [32, 9]
         E.alignment_moments(plaw(16), alignment.BLOCK, 0, ks=[1], workers=4)

@@ -77,7 +77,6 @@ def test_traced_run_calls_the_wrapped_names(tmp_path, monkeypatch, sweep):
     monkeypatch.setattr(EfnEstimate, "from_samples", vars(EfnEstimate)["from_samples"])
     for suite in list(verify.SUITES):
         monkeypatch.setitem(verify.SUITES, suite, verify.SUITES[suite])
-    monkeypatch.delenv("EFN_THREADS", raising=False)
     recorder = spans.Recorder()
     assert spans.install(recorder) == []
 

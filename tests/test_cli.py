@@ -4,6 +4,7 @@ import argparse
 import csv
 import importlib.util
 import json
+import math
 import os
 import platform
 import sys
@@ -19,6 +20,7 @@ from efnlab.experiment import ExperimentConfig
 from efnlab.signals import SignalFamilySpec, generate_template
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+CORES = len(os.sched_getaffinity(0))  # the most --threads takes
 
 
 def write_config(path, **overrides):
@@ -165,16 +167,21 @@ class TestRun:
         assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
 
-    def test_efn_threads_env_fallback(self, tmp_path, monkeypatch):
+    def test_worker_count_changes_no_output(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
-        a, b = tmp_path / "serial", tmp_path / "pooled"
-        monkeypatch.setenv("EFN_THREADS", "1")
-        assert main(["run", "--config", str(cfg), "--out", str(a)]) == 0
-        assert json.loads((a / "manifest.json").read_text())["environment"]["workers"] == 1
-        monkeypatch.setenv("EFN_THREADS", "2")
-        assert main(["run", "--config", str(cfg), "--out", str(b)]) == 0
-        assert json.loads((b / "manifest.json").read_text())["environment"]["workers"] == 2
-        assert (a / "stats.csv").read_bytes() == (b / "stats.csv").read_bytes()
+        for threads in (1, min(2, CORES)):
+            out = tmp_path / str(threads)
+            assert main(["run", "--config", str(cfg), "--out", str(out), "--threads", str(threads)]) == 0
+            assert json.loads((out / "manifest.json").read_text())["environment"]["workers"] == threads
+        assert (tmp_path / "1" / "stats.csv").read_bytes() == (out / "stats.csv").read_bytes()
+
+    def test_efn_threads_is_not_read(self, tmp_path, monkeypatch):
+        # the worker count is --threads, else the usable cores; the environment has no say
+        monkeypatch.setenv("EFN_THREADS", "0")
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["environment"]["workers"] == min(CORES, 5)  # 5 trials
 
     @pytest.mark.parametrize("frequencies", [[], [2]])
     def test_non_alignable_template_is_usage_error(self, tmp_path, capsys, frequencies):
@@ -195,15 +202,6 @@ class TestRun:
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out), "--threads", threads]) == 2
         assert "--threads" in capsys.readouterr().err
-        assert not (out / "stats.csv").exists()
-
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_efn_threads_below_one_is_usage_error(self, tmp_path, capsys, monkeypatch, threads):
-        cfg = write_config(tmp_path / "cfg.json")
-        out = tmp_path / "o"
-        monkeypatch.setenv("EFN_THREADS", threads)
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "EFN_THREADS" in capsys.readouterr().err
         assert not (out / "stats.csv").exists()
 
     def test_non_integral_sweep_is_usage_error(self, tmp_path, capsys):
@@ -277,10 +275,14 @@ class TestRun:
              "template.samples must hold d = 16 numbers"),
             ({"template": {"family": "explicit-samples", "d": 8, "samples": [0.0] * 8}},
              "cannot normalize a zero or non-finite signal"),
+            ({"template": {"family": "explicit-samples", "d": 4, "samples": [1, 0, 0, 10**400]}},
+             "template.samples must be finite"),
+            ({"template": {"family": "explicit-samples", "d": 4, "samples": [1, 0, 0, math.nan]}},
+             "template.samples must be finite"),
         ],
         ids=["samples-length", "zero-dc", "phase-seed-fraction", "phase-seed-negative",
              "sweep-extra-key", "beta-sweep-on-delta", "pad-sweep-on-psd", "d-sweep-of-samples",
-             "all-zero-samples"],
+             "all-zero-samples", "huge-sample", "nan-sample"],
     )
     def test_config_error_is_usage_error_before_any_trial(
         self, tmp_path, capsys, monkeypatch, overrides, message
@@ -310,15 +312,16 @@ class TestRun:
         ],
     )
     def test_manifest_environment_and_counters(self, tmp_path, sweep, threads, counters):
+        workers = min(int(threads), CORES)
         cfg = write_config(tmp_path / "cfg.json", sweep=sweep)
         out = tmp_path / "o"
-        assert main(["run", "--config", str(cfg), "--out", str(out), "--threads", threads]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--threads", str(workers)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["environment"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
-            "workers": int(threads),
+            "workers": workers,
         }
         assert manifest["counters"] == counters
 
@@ -332,21 +335,33 @@ class TestRun:
 
 
 class TestOutDir:
-    """A rejected run or figure leaves no output directory behind."""
+    """A rejected run, figure or verify leaves no output behind."""
 
     @pytest.fixture
     def ran(self, monkeypatch):
         ran = []
         monkeypatch.setattr(experiment, "run_trial", lambda config, t: ran.append(t))
-        monkeypatch.delenv("EFN_THREADS", raising=False)
         return ran
 
-    def test_efn_threads_below_one(self, tmp_path, capsys, monkeypatch, ran):
-        monkeypatch.setenv("EFN_THREADS", "0")
+    def test_efn_threads_below_one(self, tmp_path, capsys, ran):
         out = tmp_path / "d"
-        assert main(["figure", "3", "--out", str(out)]) == 2
-        assert "EFN_THREADS must be >= 1" in capsys.readouterr().err
+        assert main(["figure", "3", "--out", str(out), "--threads", "0"]) == 2
+        assert "--threads must be >= 1" in capsys.readouterr().err
         assert ran == [] and not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", [["figure", "4c"], ["run", "--config", "cfg.json"], ["verify", "all"]], ids=["figure", "run", "verify"]
+    )
+    def test_threads_above_the_usable_cores(self, tmp_path, capsys, monkeypatch, ran, no_pool, command):
+        # rejected before any process forks: a pool of --threads processes would start on the first block
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path / "cfg.json")
+        before = sorted(tmp_path.rglob("*"))
+        assert main([*command, "--threads", str(CORES + 1)]) == 2
+        captured = capsys.readouterr()
+        assert f"--threads must be <= {CORES}, the usable cores, got {CORES + 1}" in captured.err
+        assert captured.out == ""
+        assert ran == [] and sorted(tmp_path.rglob("*")) == before
 
     def test_excluded_bin(self, tmp_path, capsys, ran):
         cfg = write_config(tmp_path / "cfg.json", frequencies=[1, 0])  # the DC bin is zeroed
@@ -391,7 +406,6 @@ class TestFigure:
     def test_zero_trials_is_usage_error(self, tmp_path, capsys, monkeypatch, figure):
         ran = []
         monkeypatch.setattr(experiment, "run_trial", lambda config, t: ran.append(t))
-        monkeypatch.delenv("EFN_THREADS", raising=False)
         out = tmp_path / "f"
         assert main(["figure", figure, "--out", str(out), "--trials", "0"]) == 2
         assert "trials must be >= 1" in capsys.readouterr().err
@@ -410,14 +424,15 @@ class TestFigure:
 
     def test_figure2c_schema(self, tmp_path):
         out = tmp_path / "f2c"
-        assert main(["figure", "2c", "--out", str(out), "--trials", "2", "--threads", "2"]) == 0
+        workers = min(2, CORES)
+        assert main(["figure", "2c", "--out", str(out), "--trials", "2", "--threads", str(workers)]) == 0
         lines = (out / "figure2c.csv").read_text().splitlines()
         assert lines[0] == "M,k,mse,stderr,thm2_prediction,thm1_prediction,thm1_prediction_stderr"
         assert len(lines) == 1 + 4 * 10  # four M values x ten frequencies
         manifest = json.loads((out / "manifest.json").read_text())
         # one walk per trial to the largest M, one C_k profile for the sweep
         assert manifest["counters"] == {"trials": 2, "observations": 2 * 5000, "ck_draws": 4000}
-        assert manifest["environment"]["workers"] == 2
+        assert manifest["environment"]["workers"] == workers
 
 
 def bench_flat_config(monkeypatch) -> dict:
@@ -531,12 +546,12 @@ class TestVerify:
         monkeypatch.setitem(verify.MIN_COUNTS["lemma1"], "draws", 1)
         monkeypatch.setattr(verify, "LEMMA1_MIN_DRAWS", 1)
         runs = []
-        for threads in ("1", "2", "3"):
+        for threads in ("1", str(CORES)):
             argv = ["verify", "all", "--threads", threads, "--draws", draws, "--cases", "20", "--replicates", "100"]
             code = main(argv)
             runs.append((code, capsys.readouterr().out))
         assert runs[0][1].count("\n") == 33
-        assert runs[0] == runs[1] == runs[2]
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_is_usage_error(self, capsys, threads):
@@ -593,6 +608,25 @@ class TestGenTemplate:
         assert main(["gen-template", "--d", "16", "--out", str(out)]) == 2
         assert "--out must end in .json or .csv" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_that_is_a_directory_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "adir.json"
+        out.mkdir()
+        assert main(["gen-template", "--d", "16", "--out", str(out)]) == 2
+        assert f"--out: {out} is a directory" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_out_under_a_file_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("taken").write_text("kept")
+        assert main(["gen-template", "--d", "16", "--out", "taken/sub/t.json"]) == 2
+        assert "--out: taken exists and is not a directory" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "taken"] and Path("taken").read_text() == "kept"
+
+    def test_missing_parent_is_made(self, tmp_path):
+        out = tmp_path / "nodir" / "sub" / "t.json"
+        template = self.generate(self.SPECS[0], out)
+        np.testing.assert_array_equal(json.loads(out.read_text())["samples"], template.samples)
 
     def test_bad_family_is_usage_error(self, tmp_path, capsys):
         assert main(["gen-template", "--d", "16", "--family", "x", "--out", str(tmp_path / "t.json")]) == 2
