@@ -13,8 +13,9 @@ routes compute the same correlation sequence:
   equals the real-space inner products exactly (no extra constant).
 
 It also sets the package's Monte-Carlo layout: :func:`chunks` bounds each
-loop's memory, and :func:`run_blocks` runs a loop's keyed blocks on a
-process pool.
+loop's memory, :func:`chunk_arrays` allocates a block's arrays once for all
+its chunks, and :func:`run_blocks` runs a loop's keyed blocks on a process
+pool.
 """
 
 from __future__ import annotations
@@ -27,13 +28,15 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import LengthMismatchError
-from .signals import TemplateSignal, circular_shift, dft, polar
+from .signals import TemplateSignal, dft, polar
 
 #: Doubles per row chunk: every Monte-Carlo loop in the package (trials, the
 #: ``C_k`` moments and the verify samplers) draws ``max(1, BUDGET // d)`` rows
-#: at a time, so the peak memory of each process is O(BUDGET) whatever the
-#: draw count.  Chunks split a block (a trial, or :data:`BLOCK` draws) and are
-#: folded in row order or into integer counts, so no result depends on
+#: at a time.  Each process holds one block's chunk arrays (see
+#: :func:`chunk_arrays`), allocated once and reused by every chunk, so its
+#: peak memory is O(BUDGET) whatever the draw count and no chunk faults in
+#: fresh pages.  Chunks split a block (a trial, or :data:`BLOCK` draws) and
+#: are folded in row order or into integer counts, so no result depends on
 #: BUDGET; blocks are what run on separate processes.
 BUDGET = 1 << 19
 
@@ -91,32 +94,55 @@ def run_blocks(fn: Callable, args: Sequence[tuple], workers: Optional[int] = Non
         return list(pool.map(fn, *zip(*args)))
 
 
-def align_rows(rows: np.ndarray, template: TemplateSignal):
-    """Align each row of an (m, d) block against the template.
+def chunk_arrays(template: TemplateSignal, count: int) -> tuple[np.ndarray, ...]:
+    """``(filt, noise, spec, corr)``: the arrays a block aligns its ``count`` rows in, chunk by chunk.
 
-    Returns ``(shifts, corr, spec)``: the argmax lag of each row (exact ties
-    go to the smallest index), the (m, d) correlation rows, entry l of which
-    is <row, T_l x>, and the rows' (m, d/2+1) unnormalized rfft.
+    ``filt`` is the template's filter conj(rfft(x)); ``noise`` and ``corr``
+    are (rows, d) and ``spec`` is (rows, d/2+1) complex, for the largest
+    chunk :func:`chunks` yields, ``min(count, max(1, BUDGET // d))`` rows.
     """
-    if rows.shape[-1] != template.d:
-        raise LengthMismatchError(f"noise length {rows.shape[-1]} != template length {template.d}")
-    spec = np.fft.rfft(rows, axis=1)
-    corr = np.fft.irfft(spec * np.conj(np.fft.rfft(template.samples))[None, :], template.d, axis=1)
-    return np.argmax(corr, axis=1), corr, spec
+    d = template.d
+    rows = min(count, max(1, BUDGET // d))
+    noise, corr = np.empty((2, rows, d))
+    return np.conj(np.fft.rfft(template.samples)), noise, np.empty((rows, d // 2 + 1), complex), corr
+
+
+def align_rows(rows: np.ndarray, filt: np.ndarray, spec: np.ndarray, prod: np.ndarray, corr: np.ndarray):
+    """Align each row of an (m, d) block against the template whose filter is ``filt``.
+
+    Writes the first m rows of arrays the caller owns (see
+    :func:`chunk_arrays`): ``spec`` gets the rows' unnormalized rfft,
+    ``prod`` that times ``filt`` (``prod`` may be ``spec``, which then no
+    longer holds the rfft), and ``corr`` the correlation rows, entry l of
+    which is <row, T_l x>.  Returns the argmax lag of each row; exact ties
+    go to the smallest index.
+    """
+    m, d = rows.shape
+    if d != corr.shape[1]:
+        raise LengthMismatchError(f"noise length {d} != template length {corr.shape[1]}")
+    np.fft.rfft(rows, axis=1, out=spec[:m])
+    np.multiply(spec[:m], filt, out=prod[:m])
+    np.fft.irfft(prod[:m], d, axis=1, out=corr[:m])
+    return np.argmax(corr[:m], axis=1)
 
 
 def correlation_sequence(noise, template: TemplateSignal) -> np.ndarray:
     """Entry l equals <n, T_l x>, computed via fast transforms."""
-    return align_rows(np.asarray(noise, dtype=float)[None, :], template)[1][0]
+    filt, _, spec, corr = chunk_arrays(template, 1)
+    align_rows(np.asarray(noise, dtype=float)[None, :], filt, spec, spec, corr)
+    return corr[0]
 
 
 def correlation_oracle(noise, template: TemplateSignal) -> np.ndarray:
-    """Direct O(d^2) evaluation of the same inner products (test reference)."""
+    """Direct O(d^2) evaluation of the same inner products (test reference):
+    one dot product per lag, with T_l x read from row l of one (d, d) gather."""
     n = np.asarray(noise, dtype=float)
-    if n.size != template.d:
-        raise LengthMismatchError(f"noise length {n.size} != template length {template.d}")
-    x = template.samples
-    return np.asarray([float(n @ circular_shift(x, ell)) for ell in range(template.d)])
+    d = template.d
+    if n.size != d:
+        raise LengthMismatchError(f"noise length {n.size} != template length {d}")
+    i = np.arange(d)
+    shifted = template.samples[(i[None, :] - i[:, None]) % d]
+    return np.asarray([float(n @ row) for row in shifted])
 
 
 def fourier_correlation_sequence(noise, template: TemplateSignal) -> np.ndarray:

@@ -43,7 +43,8 @@ from .experiment import (
     run_sweep,
 )
 from .signals import SignalFamilySpec, generate_template
-from .verify import SUITES, run_suite
+from .theory import CK_MIN_DRAWS
+from .verify import MIN_COUNTS, SUITES, run_suite
 
 _FIGURE_IDS = ("2b", "2c", "3", "4b", "4c")
 
@@ -289,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", parents=[shared], help="run an experiment from a JSON config")
     run_p.add_argument("--config", required=True, help="path to the JSON config")
-    run_p.add_argument("--ck-trials", type=int, dest="ck_trials")
+    run_p.add_argument("--ck-trials", type=int, dest="ck_trials", help=f"C_k Monte-Carlo draws, >= {CK_MIN_DRAWS}")
     run_p.set_defaults(fn=cmd_run)
 
     fig_p = sub.add_parser("figure", parents=[shared], help="reproduce a headline-figure analog")
@@ -299,10 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver_p = sub.add_parser("verify", parents=[threads], help="run a verification suite")
     ver_p.add_argument("suite", help=" | ".join([*SUITES, "all"]))
-    ver_p.add_argument("--cases", type=int)
-    ver_p.add_argument("--draws", type=int)
-    ver_p.add_argument("--replicates", type=int)
-    ver_p.add_argument("--seed", type=int)
+    for key in dict.fromkeys(key for counts in MIN_COUNTS.values() for key in counts):
+        least = ", ".join(f"{suite} >= {counts[key]}" for suite, counts in MIN_COUNTS.items() if key in counts)
+        text = f"{key} of the suites that take them (default: each suite's own): {least}"
+        ver_p.add_argument(f"--{key}", type=int, help=text)
+    ver_p.add_argument("--seed", type=int, help="seed of each suite run (default: each suite's own), >= 0")
     ver_p.set_defaults(fn=cmd_verify)
 
     gen_p = sub.add_parser("gen-template", help="write a template signal file")

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError, entries, integral, real, typed
-from .alignment import align_rows, chunks, pool_size, run_blocks
+from .alignment import align_rows, chunk_arrays, chunks, pool_size, run_blocks
 from .estimator import EfnEstimate, pearson_correlation
 from .signals import SignalFamilySpec, TemplateSignal, generate_template, polar, wrap_phase
 from .theory import CK_MIN_DRAWS, AlignmentMoments, estimate_ck_profile, predict_magnitude, predict_phase_mse
@@ -212,18 +212,19 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> tuple:
     template, ks = _template_of(config)
     d = template.d
     rng = observation_rng(config.master_seed, trial_index)
+    filt, noise, spec, corr = chunk_arrays(template, config.M)
     total, drawn, sums = 0.0, 0, []
     for checkpoint in config.checkpoints:
         for start, stop in chunks(checkpoint, d, drawn):
-            noise = rng.standard_normal((stop - start, d))
-            shifts = align_rows(noise, template)[0]
-            # align in place: row i is rotated left by its shift
+            rows = rng.standard_normal(out=noise[:stop - start])
+            shifts = align_rows(rows, filt, spec, spec, corr)
+            # the aligned rows overwrite the correlation rows: row i rotated left by its shift
+            aligned = corr[:len(rows)]
             for i, s in enumerate(shifts.tolist()):
-                head = noise[i, :s].copy()
-                noise[i, :d - s] = noise[i, s:]
-                noise[i, d - s:] = head
-            noise[0] += total
-            total = noise.sum(axis=0)
+                aligned[i, :d - s] = rows[i, s:]
+                aligned[i, d - s:] = rows[i, :s]
+            aligned[0] += total
+            total = aligned.sum(axis=0)
             drawn = stop
         sums.append((drawn, total))
 

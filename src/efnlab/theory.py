@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .alignment import align_rows, blocks, chunks, run_blocks
+from .alignment import align_rows, blocks, chunk_arrays, chunks, run_blocks
 from .errors import InvalidArgumentError
 from .signals import TemplateSignal
 
@@ -178,24 +178,30 @@ def _moment_sums(template: TemplateSignal, kset: np.ndarray, seed, draws: int) -
     frame = np.exp(-1j * template.phases[kset]) / math.sqrt(d)
     roots = np.exp(2j * np.pi * np.arange(d) / d)
     rng = np.random.default_rng(seed)
+    filt, noise, spec, corr = chunk_arrays(template, draws)
+    # the raw spectra stay in spec for the bin gather; the filtered ones go to prod
+    prod = np.empty_like(spec)
+    z, turn = np.empty((2, len(noise), kset.size), complex)
+    lag = np.empty((len(noise), kset.size), int)
+    terms = np.empty((len(noise), 6, kset.size))
     total = 0.0
     for start, stop in chunks(draws, d):
-        # correlation rows dropped; spec kept, as freeing it made each chunk fault in new pages
-        shifts, spec = align_rows(rng.standard_normal((stop - start, d)), template)[::2]
-        z = spec[:, bins]
-        np.conjugate(z, out=z, where=upper)
-        z *= roots[np.outer(shifts, kset) % d] * frame
+        m = stop - start
+        shifts = align_rows(rng.standard_normal(out=noise[:m]), filt, spec, prod, corr)
+        # every index is in range; take's default mode would copy through a fresh buffer
+        zm = np.take(spec[:m], bins, axis=1, out=z[:m], mode="clip")
+        np.conjugate(zm, out=zm, where=upper)
+        np.remainder(np.multiply.outer(shifts, kset, out=lag[:m]), d, out=lag[:m])
+        zm *= np.multiply(np.take(roots, lag[:m], out=turn[:m], mode="clip"), frame, out=turn[:m])
         # a, a^2, a^4, b, b^2, a^2 b side by side, as numpy sums 1-entry rows pairwise
-        terms = np.empty((stop - start, 6, kset.size))
-        a, a2, a4, b, b2, a2b = terms.transpose(1, 0, 2)
-        a[:], b[:] = z.imag, z.real
+        a, a2, a4, b, b2, a2b = terms[:m].transpose(1, 0, 2)
+        a[:], b[:] = zm.imag, zm.real
         np.square(a, out=a2)
         np.square(a2, out=a4)
         np.square(b, out=b2)
         np.multiply(a2, b, out=a2b)
         terms[0] += total
-        total = terms.sum(axis=0)
-        del z, terms, a, a2, a4, b, b2, a2b  # freed before the next chunk aligns
+        total = terms[:m].sum(axis=0)
     return total
 
 

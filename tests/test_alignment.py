@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import efnlab as E
-from efnlab import alignment
+from efnlab import alignment, experiment, theory
 from efnlab.errors import LengthMismatchError, RejectedTemplateError
 
 
@@ -39,6 +39,14 @@ class TestCorrelationSequence:
             direct = E.correlation_oracle(n, t)
             assert np.abs(fast - direct).max() <= 1e-9 * np.abs(direct).max()
 
+    def test_oracle_is_one_dot_product_per_shift(self):
+        rng = np.random.default_rng(43)
+        for d in (8, 14, 64, 128):
+            t = plaw(d, seed=d)
+            n = rng.standard_normal(d)
+            loop = np.asarray([float(n @ E.circular_shift(t.samples, ell)) for ell in range(d)])
+            assert E.correlation_oracle(n, t).tobytes() == loop.tobytes()
+
     def test_zero_noise_gives_zero_sequence(self):
         t = plaw(16)
         np.testing.assert_array_equal(E.correlation_oracle(np.zeros(16), t), np.zeros(16))
@@ -51,9 +59,16 @@ class TestCorrelationSequence:
                 fn(bad, t)
 
 
+def align(rows, t):
+    """(argmax lags, correlation rows) of ``rows`` (one row or a block) through the production kernel."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    filt, _, spec, corr = alignment.chunk_arrays(t, len(rows))  # one chunk: len(rows) <= BUDGET // d
+    return alignment.align_rows(rows, filt, spec, spec, corr), corr
+
+
 def shifts_of(rows, t):
-    """Argmax lags of ``rows`` (one row or a block) through the production kernel."""
-    return alignment.align_rows(np.atleast_2d(np.asarray(rows, dtype=float)), t)[0]
+    """Argmax lags of ``rows`` through the production kernel."""
+    return align(rows, t)[0]
 
 
 class TestEstimateShift:
@@ -61,7 +76,7 @@ class TestEstimateShift:
 
     def test_noise_argmax_example(self):
         t = E.generate_template(E.SignalFamilySpec(family="delta", d=4))
-        shifts, corr, _ = alignment.align_rows(np.array([[0.5, -1.0, 2.0, 0.3]]), t)
+        shifts, corr = align([[0.5, -1.0, 2.0, 0.3]], t)
         assert shifts[0] == 2
         assert corr[0, shifts[0]] == pytest.approx(2.0, abs=1e-12)
 
@@ -92,7 +107,7 @@ class TestEstimateShift:
 
     def test_degenerate_flat_sequence(self):
         t = E.generate_template(E.SignalFamilySpec(family="delta", d=8))
-        shifts, corr, _ = alignment.align_rows(np.zeros((1, 8)), t)
+        shifts, corr = align(np.zeros((1, 8)), t)
         assert np.all(corr == corr[0, 0]) and shifts[0] == 0
 
     def test_vanishing_template_rejected(self):
@@ -118,6 +133,31 @@ class TestEstimateShift:
             oracle = int(np.argmax(E.correlation_oracle(row, t)))
             assert oracle == high
             assert shifts_of(row, t)[0] == oracle
+
+
+class TestChunkArrays:
+    def test_each_block_writes_every_chunk_into_one_buffer(self, monkeypatch):
+        d = 64
+        monkeypatch.setattr(alignment, "BUDGET", 7 * d)  # 20 rows: chunks of 7, 7 and 6
+        outs = []
+        irfft = np.fft.irfft
+
+        def recording_irfft(a, *args, out=None, **kwargs):
+            if np.ndim(a) == 2:  # the kernel's; template synthesis inverts one row
+                outs.append(out)
+            return irfft(a, *args, out=out, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", recording_irfft)
+        spec = E.SignalFamilySpec(family="power-law-psd", d=d, beta=1.0, phase_seed=1)
+        cfg = E.ExperimentConfig(template=spec, M=20, trials=1, frequencies=(1, 2))
+        for block in (
+            lambda: experiment.run_trial(cfg, 0),
+            lambda: theory._moment_sums(E.generate_template(spec), np.array([1, 40]), 0, 20),
+        ):
+            outs.clear()
+            block()
+            assert len(outs) == 3 and all(out is not None for out in outs)
+            assert len({out.__array_interface__["data"][0] for out in outs}) == 1
 
 
 class TestFourierRoute:

@@ -476,6 +476,16 @@ class TestVerify:
         assert exc.value.code == 0
         assert " | ".join([*verify.SUITES, "all"]) in " ".join(capsys.readouterr().out.split())
 
+    def test_help_names_every_count_minimum(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for suite, counts in verify.MIN_COUNTS.items():
+            for key, least in counts.items():
+                flag_help = text.rsplit(f"--{key} {key.upper()}", 1)[1].split(" --", 1)[0]
+                assert f"{suite} >= {least}" in flag_help
+
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["verify", "bogus"]) == 2
 

@@ -38,8 +38,9 @@ class _RepeatedRow:
     def __init__(self, row):
         self.row = np.asarray(row, dtype=float)
 
-    def standard_normal(self, shape):
-        return np.tile(self.row, (shape[0], 1))
+    def standard_normal(self, *, out):
+        out[:] = self.row
+        return out
 
 
 class TestAccumulator:
@@ -76,8 +77,9 @@ class TestAccumulator:
             assert chunked.pearson == whole.pearson
 
     def test_length_mismatch(self):
+        filt, _, spec, corr = alignment.chunk_arrays(delta(8), 3)
         with pytest.raises(LengthMismatchError):
-            alignment.align_rows(np.zeros((3, 16)), delta(8))
+            alignment.align_rows(np.zeros((3, 16)), filt, spec, spec, corr)
 
     def test_fourier_consistency_with_phasor_average(self):
         # averaging aligned signals in real space == averaging spectral phasors

@@ -386,9 +386,9 @@ class TestSweeps:
             def __init__(self, rng):
                 self.rng = rng
 
-            def standard_normal(self, shape):
-                drawn[-1] += shape[0]
-                return self.rng.standard_normal(shape)
+            def standard_normal(self, *, out):
+                drawn[-1] += out.shape[0]
+                return self.rng.standard_normal(out=out)
 
         def counting_rng(master_seed, trial_index):
             drawn.append(0)
