@@ -277,6 +277,12 @@ def cmd_gen_template(args) -> int:
     return 0
 
 
+def _count_help(key: str) -> str:
+    """Help for a verify count flag, naming each suite's minimum from verify.MIN_COUNTS."""
+    least = ", ".join(f"{suite} >= {counts[key]}" for suite, counts in MIN_COUNTS.items() if key in counts)
+    return f"{key} of the suites that take them (default: each suite's own): {least}"
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="efn", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -300,10 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver_p = sub.add_parser("verify", parents=[threads], help="run a verification suite")
     ver_p.add_argument("suite", help=" | ".join([*SUITES, "all"]))
-    for key in dict.fromkeys(key for counts in MIN_COUNTS.values() for key in counts):
-        least = ", ".join(f"{suite} >= {counts[key]}" for suite, counts in MIN_COUNTS.items() if key in counts)
-        text = f"{key} of the suites that take them (default: each suite's own): {least}"
-        ver_p.add_argument(f"--{key}", type=int, help=text)
+    ver_p.add_argument("--cases", type=int, help=_count_help("cases"))
+    ver_p.add_argument("--draws", type=int, help=_count_help("draws"))
+    ver_p.add_argument("--replicates", type=int, help=_count_help("replicates"))
     ver_p.add_argument("--seed", type=int, help="seed of each suite run (default: each suite's own), >= 0")
     ver_p.set_defaults(fn=cmd_verify)
 
