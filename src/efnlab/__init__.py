@@ -47,7 +47,6 @@ from .signals import (
 from .theory import (
     AlignmentMoments,
     ConditionalGaussian,
-    GumbelConstants,
     alignment_moments,
     build_conditional_gaussian,
     estimate_ck_profile,
@@ -57,6 +56,6 @@ from .theory import (
     sample_cyclostationary,
     softmax_expectation,
 )
-from .verify import Lemma1Report, ks_statistic, lemma1_check
+from .verify import ks_statistic, lemma1_check
 
 __version__ = "0.1.0"

@@ -220,10 +220,10 @@ def cmd_figure(args) -> int:
     config = _figure_config(args.figure, args)
     out_dir, telemetry, result = _run_config(config, args)
     if args.figure in ("2b", "2c"):
-        header, columns = ["M", "k", "mse", "stderr"], ["phase_mse", "phase_mse_stderr"]
-        if args.figure == "2c":
-            header += ["thm2_prediction", "thm1_prediction", "thm1_prediction_stderr"]
-            columns += ["predicted_mse_thm2", "predicted_mse_thm1", "predicted_mse_thm1_stderr"]
+        header = ["M", "k", "mse", "stderr", "thm2_prediction", "thm1_prediction", "thm1_prediction_stderr"]
+        columns = [
+            "phase_mse", "phase_mse_stderr", "predicted_mse_thm2", "predicted_mse_thm1", "predicted_mse_thm1_stderr"
+        ]
         rows = [[int(M), *row] for M, stats in result for row in _stats_rows(stats, columns)]
     elif args.figure in ("3", "4b"):
         header = [config.sweep.axis, "pearson", "stderr"]

@@ -45,12 +45,6 @@ class ConditionalGaussian:
     def d(self) -> int:
         return self.mean.size
 
-    def covariance(self) -> np.ndarray:
-        """Dense circulant covariance (for tests and small-d checks)."""
-        first = (self.d * np.fft.ifft(self.spectral_eigenvalues)).real
-        i = np.arange(self.d)
-        return first[(i[:, None] - i[None, :]) % self.d]
-
 
 def build_conditional_gaussian(
     template: TemplateSignal, k: int, noise_magnitude: float, noise_phase: float

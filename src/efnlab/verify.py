@@ -190,32 +190,46 @@ PROP3_NOISE_MAG = 1.0
 PROP3_NOISE_PHASE = 0.7
 
 
-def _argmax_counts(cg, seed, draws: int) -> np.ndarray:
-    """How often each lag is the argmax over one block's draws from ``cg``."""
+def _argmax_counts(cg, mean: np.ndarray, seed, draws: int) -> np.ndarray:
+    """How often each lag is the argmax over one block's ``draws`` samples of ``mean`` plus ``cg``.
+
+    ``cg`` is a zero-mean law, so each row ``z`` the block draws from it gives
+    two samples, ``mean + z`` and ``mean - z``: the block draws
+    ``(draws + 1) // 2`` rows, counts the plus side of every row and the minus
+    side of the first ``draws // 2``.
+    """
     rng = np.random.default_rng(seed)
     counts = np.zeros(cg.d, dtype=np.int64)
-    for start, stop in chunks(draws, cg.d):
-        s = sample_cyclostationary(cg, rng, size=stop - start)
+    for start, stop in chunks((draws + 1) // 2, cg.d):
+        z = sample_cyclostationary(cg, rng, size=stop - start)
+        s = mean + z
         counts += np.bincount(np.argmax(s, axis=1), minlength=cg.d)
+        m = min(stop, draws // 2) - start  # rows of this chunk whose minus side counts
+        counts += np.bincount(np.argmax(np.subtract(mean, z[:m], out=s[:m]), axis=1), minlength=cg.d)
     return counts
 
 
 def prop3_case(d: int, draws: int, seed, workers: Optional[int] = None) -> tuple[float, float]:
     """Return (softmax value, Monte-Carlo E[f(argmax)]) for the pinned case.
 
-    The draws run in keyed blocks of ``seed`` on up to ``workers``
+    The Monte-Carlo side counts ``draws`` argmax samples of the conditional
+    law ``N(mean, Sigma)`` in antithetic pairs: each row ``z`` of the law
+    built at noise magnitude 0 (zero mean, the same covariance) gives the
+    exact samples ``mean + z`` and ``mean - z``, so half as many rows are
+    drawn.  The draws run in keyed blocks of ``seed`` on up to ``workers``
     processes; their argmax counts are integers, so the result does not
     depend on the worker count.
     """
     spec = SignalFamilySpec(family="power-law-psd", d=d, beta=0.0, phase_seed=0)
     template = generate_template(spec)
-    cg = build_conditional_gaussian(template, PROP3_K, PROP3_NOISE_MAG, PROP3_NOISE_PHASE)
+    mean = build_conditional_gaussian(template, PROP3_K, PROP3_NOISE_MAG, PROP3_NOISE_PHASE).mean
+    cg = build_conditional_gaussian(template, PROP3_K, 0.0, 0.0)
     r = np.arange(d)
     f = np.cos(
         2.0 * np.pi * PROP3_K * r / d + PROP3_NOISE_PHASE - template.phases[PROP3_K]
     )
-    soft = softmax_expectation(f, cg.mean)
-    counts = sum(run_blocks(_argmax_counts, [(cg, ss, n) for ss, n in blocks(draws, seed)], workers))
+    soft = softmax_expectation(f, mean)
+    counts = sum(run_blocks(_argmax_counts, [(cg, mean, ss, n) for ss, n in blocks(draws, seed)], workers))
     return soft, float(f @ counts) / draws
 
 
@@ -293,7 +307,11 @@ def lemma1_check(
 
 
 def prop3_suite(draws: int = 100_000, seed=31, workers: Optional[int] = None) -> list[CheckRow]:
-    """Softmax approximation of the argmax functional, normalized by max|f|=1."""
+    """Softmax approximation of the argmax functional, normalized by max|f|=1.
+
+    ``draws`` counts argmax samples per case, taken in antithetic pairs from
+    ``(draws + 1) // 2`` rows (see :func:`prop3_case`).
+    """
     rows = []
     for d, tol in ((1024, 0.10), (4096, 0.05)):
         soft, mc = prop3_case(d, draws, seed, workers)

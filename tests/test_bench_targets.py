@@ -66,10 +66,8 @@ def test_verify_suites_exist():
     assert {"alignment", "symmetry", "gumbel", "prop3", "lemma1"} <= set(verify.SUITES)
 
 
-@pytest.mark.parametrize("sweep", [None, {"axis": "M", "values": [10, 20]}], ids=["plain", "m-sweep"])
-def test_traced_run_calls_the_wrapped_names(tmp_path, monkeypatch, sweep):
-    # the names must be called, not only present: a call that moves past a
-    # wrapped name would read as zero in the per-layer metrics
+def _install_spans(monkeypatch):
+    """The spans module and a recorder whose wrappers it installed, with no target missing."""
     spans = _load_spans()
     for module_name, attr, *_ in spans.TARGETS:  # so later tests see the originals
         module = importlib.import_module(module_name)
@@ -79,6 +77,14 @@ def test_traced_run_calls_the_wrapped_names(tmp_path, monkeypatch, sweep):
         monkeypatch.setitem(verify.SUITES, suite, verify.SUITES[suite])
     recorder = spans.Recorder()
     assert spans.install(recorder) == []
+    return spans, recorder
+
+
+@pytest.mark.parametrize("sweep", [None, {"axis": "M", "values": [10, 20]}], ids=["plain", "m-sweep"])
+def test_traced_run_calls_the_wrapped_names(tmp_path, monkeypatch, sweep):
+    # the names must be called, not only present: a call that moves past a
+    # wrapped name would read as zero in the per-layer metrics
+    spans, recorder = _install_spans(monkeypatch)
 
     config = {
         "template": {"family": "power-law-psd", "d": 64, "beta": 1.0, "phase_seed": 1},
@@ -94,3 +100,12 @@ def test_traced_run_calls_the_wrapped_names(tmp_path, monkeypatch, sweep):
     assert metrics["theory.alignment_moments.draws"][0] == 1000
     timed = [span for span in recorder.spans if span[0] == "experiment.run_experiment"]
     assert [span[3] for span in timed] == ([] if sweep else [-1])  # the cli's own call, at top level
+
+
+def test_traced_verify_counts_sampler_rows(monkeypatch):
+    # every prop3 row goes through the wrapped sampler with an argument its
+    # draw counter binds; a block of n argmax samples draws (n + 1) // 2 rows
+    spans, recorder = _install_spans(monkeypatch)
+    assert main(["verify", "prop3", "--draws", "5001", "--threads", "1"]) == 0
+    metrics = spans.layer_metrics(recorder.spans, 0)
+    assert metrics["theory.sample_cyclostationary.draws"][0] == 2 * 2501  # two cases, 2048 + 453 rows each

@@ -37,6 +37,13 @@ class FixedNormals(np.random.Generator):
         return self.block.copy()
 
 
+def covariance(cg):
+    """Dense circulant covariance of ``cg``, the reference for the spectral sampler."""
+    first = (cg.d * np.fft.ifft(cg.spectral_eigenvalues)).real
+    i = np.arange(cg.d)
+    return first[(i[:, None] - i[None, :]) % cg.d]
+
+
 def sample_from(cg, w):
     """The sampler's rows for the white block ``w``."""
     return E.sample_cyclostationary(cg, FixedNormals(w), size=w.shape[0])
@@ -73,7 +80,7 @@ class TestConditionalGaussian:
     def test_covariance_diagonal_is_one(self):
         t = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=8, beta=2.0))
         cg = E.build_conditional_gaussian(t, 2, 0.8, -1.0)
-        np.testing.assert_allclose(np.diag(cg.covariance()), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.diag(covariance(cg)), 1.0, atol=1e-12)
 
     def test_sigma2_approaches_half_for_flat_family(self):
         # the normalizer, read off a bin outside {0, d/2, k, d-k}: lambda_j = 2 |X[j]|^2 / sum
@@ -113,21 +120,21 @@ class TestSampler:
         # covariance F F^T is G^T G
         cg = E.build_conditional_gaussian(beta_one(16), k, 1.5, 0.9)
         g = sample_from(cg, np.eye(16)) - cg.mean
-        np.testing.assert_allclose(g.T @ g, cg.covariance(), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g.T @ g, covariance(cg), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("d", [7, 8])
     def test_asymmetric_eigenvalues_are_symmetrised(self, d):
         lam = np.random.default_rng(d).uniform(0.0, 2.0 / d, size=d)
         cg = ConditionalGaussian(mean=np.zeros(d), spectral_eigenvalues=lam)
         g = sample_from(cg, np.eye(d))
-        np.testing.assert_allclose(g.T @ g, cg.covariance(), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g.T @ g, covariance(cg), rtol=0, atol=1e-12)
 
     def test_empirical_covariance_matches_target(self):
         t = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=8, beta=1.0))
         cg = E.build_conditional_gaussian(t, 1, 1.0, 0.0)
         z = E.sample_cyclostationary(cg, 21, size=100_000) - cg.mean[None, :]
         emp = (z.T @ z) / z.shape[0]
-        target = cg.covariance()
+        target = covariance(cg)
         # entrywise 3-SE window; SE of a covariance entry is ~sqrt((1+c^2)/n)
         se = np.sqrt((1.0 + target**2) / z.shape[0])
         assert np.all(np.abs(emp - target) <= 3 * se)
@@ -358,6 +365,11 @@ class TestLemma1:
         monkeypatch.setattr(verify, "sample_cyclostationary", counting)
         verify.lemma1_check(delta(8), 1, 0.0, 100_000, 9, workers=1)  # counted in this process
         assert sum(drawn) == 100_000
+        # prop3 pairs its argmax samples: a block of n samples draws (n + 1) // 2 rows
+        drawn.clear()
+        n = 2 * alignment.BLOCK + 5
+        verify.prop3_case(64, n, 2, workers=1)
+        assert sum(drawn) == sum((size + 1) // 2 for _, size in alignment.blocks(n, 2))
 
     def test_insufficient_draws_rejected(self):
         with pytest.raises(InsufficientDataError):
@@ -397,6 +409,25 @@ class TestLemma1:
 
 
 class TestVerifyMonteCarlo:
+    def test_prop3_matches_paired_reference(self):
+        # one sampler call per keyed block of n samples: (n + 1) // 2 zero-mean
+        # rows z, each counted as mean + z, and as mean - z for the first n // 2
+        d, draws, seed = 64, 2 * alignment.BLOCK + 5, 3
+        t = flat(d)
+        k, phase = verify.PROP3_K, verify.PROP3_NOISE_PHASE
+        cg0 = E.build_conditional_gaussian(t, k, 0.0, 0.0)
+        mean = E.build_conditional_gaussian(t, k, verify.PROP3_NOISE_MAG, phase).mean
+        counts = np.zeros(d, dtype=np.int64)
+        for ss, n in alignment.blocks(draws, seed):
+            z = E.sample_cyclostationary(cg0, ss, size=(n + 1) // 2)
+            counts += np.bincount(np.argmax(mean + z, axis=1), minlength=d)
+            counts += np.bincount(np.argmax(mean - z, axis=1)[: n // 2], minlength=d)
+        assert counts.sum() == draws
+        f = np.cos(2.0 * np.pi * k * np.arange(d) / d + phase - t.phases[k])
+        soft, mc = verify.prop3_case(d, draws, seed)
+        assert soft == E.softmax_expectation(f, mean)
+        assert mc == float(f @ counts) / draws
+
     def test_prop3_chunk_size_invariant(self, monkeypatch):
         d = 64
         whole = verify.prop3_case(d, 20_003, 2)
