@@ -6,7 +6,7 @@ routes compute the same correlation sequence:
 
 * :func:`align_rows`             -- FFT-based, O(d log d), the production kernel
   behind :func:`correlation_sequence`, the trial loop and the ``C_k``
-  Monte-Carlo;
+  Monte-Carlo, which reads N[k] from the filtered spectra it leaves behind;
 * :func:`correlation_oracle`     -- direct O(d^2) sums, the test reference;
 * :func:`fourier_correlation_sequence` -- the magnitude/phase cosine-sum form,
   assembled from the spectra's polar views.  Under the unitary convention it
@@ -98,8 +98,9 @@ def chunk_arrays(template: TemplateSignal, count: int) -> tuple[np.ndarray, ...]
     """``(filt, noise, spec, corr)``: the arrays a block aligns its ``count`` rows in, chunk by chunk.
 
     ``filt`` is the template's filter conj(rfft(x)); ``noise`` and ``corr``
-    are (rows, d) and ``spec`` is (rows, d/2+1) complex, for the largest
-    chunk :func:`chunks` yields, ``min(count, max(1, BUDGET // d))`` rows.
+    are (rows, d) and ``spec``, the filtered half spectra, is (rows, d/2+1)
+    complex, for the largest chunk :func:`chunks` yields, ``min(count,
+    max(1, BUDGET // d))`` rows.
     """
     d = template.d
     rows = min(count, max(1, BUDGET // d))
@@ -107,29 +108,28 @@ def chunk_arrays(template: TemplateSignal, count: int) -> tuple[np.ndarray, ...]
     return np.conj(np.fft.rfft(template.samples)), noise, np.empty((rows, d // 2 + 1), complex), corr
 
 
-def align_rows(rows: np.ndarray, filt: np.ndarray, spec: np.ndarray, prod: np.ndarray, corr: np.ndarray):
+def align_rows(rows: np.ndarray, filt: np.ndarray, spec: np.ndarray, corr: np.ndarray):
     """Align each row of an (m, d) block against the template whose filter is ``filt``.
 
     Writes the first m rows of arrays the caller owns (see
-    :func:`chunk_arrays`): ``spec`` gets the rows' unnormalized rfft,
-    ``prod`` that times ``filt`` (``prod`` may be ``spec``, which then no
-    longer holds the rfft), and ``corr`` the correlation rows, entry l of
-    which is <row, T_l x>.  Returns the argmax lag of each row; exact ties
-    go to the smallest index.
+    :func:`chunk_arrays`): ``spec`` gets the rows' rfft times ``filt``, in
+    unitary terms d N[k] conj(X[k]), and ``corr`` the correlation rows,
+    entry l of which is <row, T_l x>.  Returns the argmax lag of each row;
+    exact ties go to the smallest index.
     """
     m, d = rows.shape
     if d != corr.shape[1]:
         raise LengthMismatchError(f"noise length {d} != template length {corr.shape[1]}")
     np.fft.rfft(rows, axis=1, out=spec[:m])
-    np.multiply(spec[:m], filt, out=prod[:m])
-    np.fft.irfft(prod[:m], d, axis=1, out=corr[:m])
+    spec[:m] *= filt
+    np.fft.irfft(spec[:m], d, axis=1, out=corr[:m])
     return np.argmax(corr[:m], axis=1)
 
 
 def correlation_sequence(noise, template: TemplateSignal) -> np.ndarray:
     """Entry l equals <n, T_l x>, computed via fast transforms."""
     filt, _, spec, corr = chunk_arrays(template, 1)
-    align_rows(np.asarray(noise, dtype=float)[None, :], filt, spec, spec, corr)
+    align_rows(np.asarray(noise, dtype=float)[None, :], filt, spec, corr)
     return corr[0]
 
 

@@ -213,11 +213,11 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> tuple:
     d = template.d
     rng = observation_rng(config.master_seed, trial_index)
     filt, noise, spec, corr = chunk_arrays(template, config.M)
-    total, drawn, sums = 0.0, 0, []
-    for checkpoint in config.checkpoints:
-        for start, stop in chunks(checkpoint, d, drawn):
+    total, drawn, results = 0.0, 0, []
+    for M in config.checkpoints:
+        for start, stop in chunks(M, d, drawn):
             rows = rng.standard_normal(out=noise[:stop - start])
-            shifts = align_rows(rows, filt, spec, spec, corr)
+            shifts = align_rows(rows, filt, spec, corr)
             # the aligned rows overwrite the correlation rows: row i rotated left by its shift
             aligned = corr[:len(rows)]
             for i, s in enumerate(shifts.tolist()):
@@ -225,11 +225,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> tuple:
                 aligned[i, d - s:] = rows[i, :s]
             aligned[0] += total
             total = aligned.sum(axis=0)
-            drawn = stop
-        sums.append((drawn, total))
-
-    results = []
-    for M, total in sums:
+        drawn = M
         xhat = total / M
         magnitudes, phases = polar(EfnEstimate.from_samples(xhat, M).spectrum[ks])
         results.append(TrialResult(
@@ -255,8 +251,9 @@ def aggregate_trials(
 ) -> AggregateStats:
     """Fold trial results (in trial-index order) into aggregate statistics.
 
-    ``profile`` is the config's C_k profile (None when the config has no
-    frequencies); the thm1 predictions are its C_k over the config's M.
+    ``profile`` is the config's C_k profile, at exactly the config's
+    frequencies (None when it has none; any other profile raises
+    InvalidArgumentError); the thm1 predictions are its C_k over the config's M.
     Trials and profile are unit noise: ``config.sigma`` multiplies the four
     magnitude columns, and no other statistic depends on it.
     """
@@ -265,6 +262,9 @@ def aggregate_trials(
     if n < 1:
         raise InsufficientDataError("no trials to aggregate")
     template, ks = _template_of(config)
+    profile_ks = np.empty(0, int) if profile is None else profile.ks
+    if not np.array_equal(profile_ks, ks):
+        raise InvalidArgumentError(f"the C_k profile is for bins {profile_ks.tolist()}, not the config's {ks.tolist()}")
     mse, mse_se = _mean_and_stderr(np.stack([r.phase_errors for r in results]) ** 2)
     mag_mean, mag_se = _mean_and_stderr(np.stack([r.magnitudes for r in results]))
     pearson, pearson_se = _mean_and_stderr(np.asarray([r.pearson for r in results]))

@@ -169,24 +169,22 @@ def _moment_sums(template: TemplateSignal, kset: np.ndarray, seed, draws: int) -
     d = template.d
     upper = kset > d // 2
     bins = np.where(upper, d - kset, kset)
-    frame = np.exp(-1j * template.phases[kset]) / math.sqrt(d)
+    scale = 1.0 / (d * template.magnitudes[kset])
     roots = np.exp(2j * np.pi * np.arange(d) / d)
     rng = np.random.default_rng(seed)
     filt, noise, spec, corr = chunk_arrays(template, draws)
-    # the raw spectra stay in spec for the bin gather; the filtered ones go to prod
-    prod = np.empty_like(spec)
     z, turn = np.empty((2, len(noise), kset.size), complex)
     lag = np.empty((len(noise), kset.size), int)
     terms = np.empty((len(noise), 6, kset.size))
     total = 0.0
     for start, stop in chunks(draws, d):
         m = stop - start
-        shifts = align_rows(rng.standard_normal(out=noise[:m]), filt, spec, prod, corr)
+        shifts = align_rows(rng.standard_normal(out=noise[:m]), filt, spec, corr)
         # every index is in range; take's default mode would copy through a fresh buffer
         zm = np.take(spec[:m], bins, axis=1, out=z[:m], mode="clip")
         np.conjugate(zm, out=zm, where=upper)
         np.remainder(np.multiply.outer(shifts, kset, out=lag[:m]), d, out=lag[:m])
-        zm *= np.multiply(np.take(roots, lag[:m], out=turn[:m], mode="clip"), frame, out=turn[:m])
+        zm *= np.multiply(np.take(roots, lag[:m], out=turn[:m], mode="clip"), scale, out=turn[:m])
         # a, a^2, a^4, b, b^2, a^2 b side by side, as numpy sums 1-entry rows pairwise
         a, a2, a4, b, b2, a2b = terms[:m].transpose(1, 0, 2)
         a[:], b[:] = zm.imag, zm.real
@@ -208,22 +206,21 @@ def alignment_moments(
     The draws are split into keyed blocks (:func:`~efnlab.alignment.blocks`
     of ``seed``, an int or a SeedSequence) that run on up to ``workers``
     processes.  Within a block the alignment runs through the production
-    kernel, in fixed-size chunks of draws; ``N[k]`` is read from the
-    kernel's rfft, as the conjugate of bin d-k for k > d/2, and turned into
-    the template's phase frame by one complex rotation, N[k] e^{2 pi i k s /
-    d} e^{-i phi_X[k]} / sqrt(d), whose root of unity comes from a table;
-    its imaginary part is a and its real part b.  Each chunk's terms are
-    summed into the block's totals in draw order, and the block totals are
-    added in block order, so the result depends on neither the chunk size
-    nor the worker count.
+    kernel, in fixed-size chunks of draws.  Bin k is read from the kernel's
+    filtered product d N[k] conj(X[k]) (unitary N and X; the conjugate of
+    bin d-k for k > d/2), turned by the shift's root of unity from a table
+    and scaled by 1/(d |X[k]|) to N[k] e^{2 pi i k s / d} e^{-i phi_X[k]}:
+    its imaginary part is a and its real part b.  The scale needs every bin
+    above the template's floor; an excluded bin, such as a zeroed DC bin,
+    raises ExcludedBinError.  Each chunk's terms are summed into the
+    block's totals in draw order, and the block totals are added in block
+    order, so the result depends on neither the chunk size nor the worker
+    count.
     """
     template.require_alignable()
     if trials < 1:
         raise InvalidArgumentError("alignment_moments needs at least 1 draw")
-    d = template.d
-    kset = np.asarray(list(ks), dtype=int)
-    if kset.size and (kset.min() < 0 or kset.max() > d - 1):
-        raise InvalidArgumentError("requested frequency outside [0, d-1]")
+    kset = template.require_bins(ks)
     parts = run_blocks(_moment_sums, [(template, kset, ss, n) for ss, n in blocks(trials, seed)], workers)
     total = sum(parts)
 

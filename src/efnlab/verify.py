@@ -216,18 +216,18 @@ def prop3_case(d: int, draws: int, seed, workers: Optional[int] = None) -> tuple
     law ``N(mean, Sigma)`` in antithetic pairs: each row ``z`` of the law
     built at noise magnitude 0 (zero mean, the same covariance) gives the
     exact samples ``mean + z`` and ``mean - z``, so half as many rows are
-    drawn.  The draws run in keyed blocks of ``seed`` on up to ``workers``
+    drawn.  ``mean`` is ``2 |X[k]| PROP3_NOISE_MAG f``, the law's mean at
+    the pinned magnitude, computed as ``build_conditional_gaussian`` does.
+    The draws run in keyed blocks of ``seed`` on up to ``workers``
     processes; their argmax counts are integers, so the result does not
     depend on the worker count.
     """
     spec = SignalFamilySpec(family="power-law-psd", d=d, beta=0.0, phase_seed=0)
     template = generate_template(spec)
-    mean = build_conditional_gaussian(template, PROP3_K, PROP3_NOISE_MAG, PROP3_NOISE_PHASE).mean
     cg = build_conditional_gaussian(template, PROP3_K, 0.0, 0.0)
     r = np.arange(d)
-    f = np.cos(
-        2.0 * np.pi * PROP3_K * r / d + PROP3_NOISE_PHASE - template.phases[PROP3_K]
-    )
+    f = np.cos(2.0 * np.pi * PROP3_K * r / d + PROP3_NOISE_PHASE - template.phases[PROP3_K])
+    mean = 2.0 * template.magnitudes[PROP3_K] * PROP3_NOISE_MAG * f
     soft = softmax_expectation(f, mean)
     counts = sum(run_blocks(_argmax_counts, [(cg, mean, ss, n) for ss, n in blocks(draws, seed)], workers))
     return soft, float(f @ counts) / draws

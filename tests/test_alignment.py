@@ -63,7 +63,7 @@ def align(rows, t):
     """(argmax lags, correlation rows) of ``rows`` (one row or a block) through the production kernel."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     filt, _, spec, corr = alignment.chunk_arrays(t, len(rows))  # one chunk: len(rows) <= BUDGET // d
-    return alignment.align_rows(rows, filt, spec, spec, corr), corr
+    return alignment.align_rows(rows, filt, spec, corr), corr
 
 
 def shifts_of(rows, t):
@@ -136,6 +136,14 @@ class TestEstimateShift:
 
 
 class TestChunkArrays:
+    def test_spec_holds_the_filtered_spectra(self):
+        # the C_k moments read N[k] conj(X[k]) from spec after the kernel ran
+        rows = np.random.default_rng(5).standard_normal((3, 32))
+        t = plaw(32)
+        filt, _, spec, corr = alignment.chunk_arrays(t, 5)
+        alignment.align_rows(rows, filt, spec, corr)
+        np.testing.assert_array_equal(spec[:3], np.fft.rfft(rows, axis=1) * filt)
+
     def test_each_block_writes_every_chunk_into_one_buffer(self, monkeypatch):
         d = 64
         monkeypatch.setattr(alignment, "BUDGET", 7 * d)  # 20 rows: chunks of 7, 7 and 6

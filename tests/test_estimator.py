@@ -79,7 +79,7 @@ class TestAccumulator:
     def test_length_mismatch(self):
         filt, _, spec, corr = alignment.chunk_arrays(delta(8), 3)
         with pytest.raises(LengthMismatchError):
-            alignment.align_rows(np.zeros((3, 16)), filt, spec, spec, corr)
+            alignment.align_rows(np.zeros((3, 16)), filt, spec, corr)
 
     def test_fourier_consistency_with_phasor_average(self):
         # averaging aligned signals in real space == averaging spectral phasors

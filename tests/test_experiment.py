@@ -215,6 +215,21 @@ class TestAggregation:
         with pytest.raises(InsufficientDataError):
             E.aggregate_trials(small_config(), [], None)
 
+    def test_profile_must_be_at_the_config_bins(self):
+        # a missing profile, or one for other bins, would put no C_k or the
+        # C_k of other bins beside the config's bins
+        cfg = small_config(M=20, trials=3, frequencies=(1, 5))
+        template = E.generate_template(cfg.template)
+        results = [E.run_trial(cfg, t)[0] for t in range(cfg.trials)]
+        for profile in (None, E.estimate_ck_profile(template, 1000, 0, ks=[2, 7, 9])):
+            with pytest.raises(InvalidArgumentError):
+                E.aggregate_trials(cfg, results, profile)
+        no_bins = small_config(M=20, trials=3, frequencies=())
+        with pytest.raises(InvalidArgumentError):
+            E.aggregate_trials(no_bins, [E.run_trial(no_bins, 0)[0]], E.estimate_ck_profile(template, 1000, 0, ks=[1]))
+        stats = E.aggregate_trials(cfg, results, E.estimate_ck_profile(template, 1000, 0, ks=[1, 5]))
+        assert stats.predicted_mse_thm1.shape == (2,)
+
 
 class TestConfigValidation:
     def test_bad_fields(self):

@@ -440,7 +440,7 @@ class TestVerifyMonteCarlo:
             lambda workers: verify.prop3_case(64, 3 * alignment.BLOCK + 5, 2, workers),
             lambda workers: verify.lemma1_check(delta(8), 1, math.pi / 3.0, 100_003, 4, workers),
             lambda workers: E.alignment_moments(
-                beta_one(64), 2 * alignment.BLOCK + 7, 11, ks=[0, 1, 5, 32, 40], workers=workers
+                beta_one(64), 2 * alignment.BLOCK + 7, 11, ks=[1, 5, 32, 40], workers=workers
             ),
         ],
         ids=["prop3_case", "lemma1_check", "alignment_moments"],
@@ -482,6 +482,13 @@ class TestAlignmentMoments:
         with pytest.raises(InvalidArgumentError):
             E.alignment_moments(delta(8), 1000, 0, ks=[9])
 
+    def test_excluded_bin_rejected(self):
+        # the moments divide the kernel's product by |X[k]|, so a zeroed DC
+        # bin (|X[0]| = 6.9e-18 here) is refused rather than read as noise
+        t = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=64, beta=1.0, phase_seed=1))
+        with pytest.raises(ExcludedBinError):
+            E.alignment_moments(t, 1000, 0, ks=[1, 0])
+
     def test_deterministic_per_seed(self):
         t = delta(16)
         a = E.alignment_moments(t, 2000, 7, ks=[1, 2])
@@ -492,7 +499,7 @@ class TestAlignmentMoments:
         t = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=64, beta=1.0, phase_seed=2))
         # both sides of d/2 and d/2 itself; and one frequency, where a per-bin
         # row sum would be summed pairwise rather than in row order
-        profiles = ([0, 1, 5, 31, 32, 33, 40, 63], [5])
+        profiles = ([1, 5, 31, 32, 33, 40, 63], [5])
         whole = [E.alignment_moments(t, 2000, 11, ks=ks) for ks in profiles]
         monkeypatch.setattr(alignment, "BUDGET", 7 * 64)
         chunked = [E.alignment_moments(t, 2000, 11, ks=ks) for ks in profiles]
@@ -504,13 +511,13 @@ class TestAlignmentMoments:
         # N[k] for k > d/2 comes from the conjugate of rfft bin d-k
         d, n, seed = 16, 1000, 4
         t = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=d, beta=0.5, phase_seed=3))
-        ks = np.arange(d)
+        ks = np.arange(1, d)  # every bin but the zeroed DC
         m = E.alignment_moments(t, n, seed, ks=ks)
         blocks = alignment.blocks(n, seed)
         noise = np.concatenate([np.random.default_rng(ss).standard_normal((size, d)) for ss, size in blocks])
         shifts = np.array([np.argmax(E.correlation_oracle(row, t)) for row in noise])
-        spec = np.fft.fft(noise, axis=1) / math.sqrt(d)
-        phi_e = 2.0 * np.pi * ks[None, :] * shifts[:, None] / d + np.angle(spec) - t.phases
+        spec = np.fft.fft(noise, axis=1)[:, ks] / math.sqrt(d)
+        phi_e = 2.0 * np.pi * ks[None, :] * shifts[:, None] / d + np.angle(spec) - t.phases[ks]
         a = np.abs(spec) * np.sin(phi_e)
         b = np.abs(spec) * np.cos(phi_e)
         np.testing.assert_allclose(m.mu_a, a.mean(0), rtol=0, atol=1e-12)
@@ -521,9 +528,9 @@ class TestAlignmentMoments:
         dev = np.stack([a**2 - m2a, b - mb])
         cov = np.einsum("inj,mnj->imj", dev, dev) / n**2
         var_ck = np.einsum("ij,imj,mj->j", grad, cov, grad)
-        # at the real bins 0 and d/2, C_k and its stderr are rounding residue
-        # of a zero second moment on both sides, so only their size is compared
-        real = np.isin(ks, [0, d // 2])
+        # at the real bin d/2, C_k and its stderr are rounding residue of a
+        # zero second moment on both sides, so only their size is compared
+        real = ks == d // 2
         np.testing.assert_allclose(m.ck[~real], (m2a / mb**2)[~real], rtol=1e-10)
         np.testing.assert_allclose(m.ck_stderr[~real], np.sqrt(var_ck)[~real], rtol=1e-8)
         np.testing.assert_allclose(m.ck[real], (m2a / mb**2)[real], rtol=0, atol=1e-25)
