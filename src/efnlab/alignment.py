@@ -32,12 +32,15 @@ from .signals import TemplateSignal, dft, polar
 
 #: Doubles per row chunk: every Monte-Carlo loop in the package (trials, the
 #: ``C_k`` moments and the verify samplers) draws ``max(1, BUDGET // d)`` rows
-#: at a time.  Each process holds one block's chunk arrays (see
-#: :func:`chunk_arrays`), allocated once and reused by every chunk, so its
-#: peak memory is O(BUDGET) whatever the draw count and no chunk faults in
-#: fresh pages.  Chunks split a block (a trial, or :data:`BLOCK` draws) and
-#: are folded in row order or into integer counts, so no result depends on
-#: BUDGET; blocks are what run on separate processes.
+#: at a time, so each process's peak memory is O(BUDGET) whatever the draw
+#: count.  The trials, the ``C_k`` blocks and :func:`correlation_sequence`
+#: hold one block's chunk arrays (see :func:`chunk_arrays`), allocated once
+#: and reused by every chunk, so no chunk faults in fresh pages; the verify
+#: samplers (:func:`~efnlab.theory.sample_cyclostationary` in prop3 and
+#: lemma1, and the gumbel maxima) allocate fresh arrays per chunk.  Chunks
+#: split a block (a trial, or :data:`BLOCK` draws) and are folded in row
+#: order or into integer counts, so no result depends on BUDGET; blocks are
+#: what run on separate processes.
 BUDGET = 1 << 19
 
 #: Draws per keyed block of a Monte-Carlo loop other than the trials; a
@@ -68,8 +71,11 @@ def blocks(count: int, seed) -> list[tuple[np.random.SeedSequence, int]]:
 
 
 def usable_cores() -> int:
-    """The cores this process may run on (its CPU affinity): the default worker count."""
-    return len(os.sched_getaffinity(0))
+    """The cores this process may run on (its CPU affinity, or the CPU count
+    where the platform reports none): the default worker count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def pool_size(workers: Optional[int], count: int) -> int:

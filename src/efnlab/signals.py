@@ -160,6 +160,8 @@ class SignalFamilySpec:
         object.__setattr__(self, "phase_seed", integral("template.phase_seed", self.phase_seed, 0))
         typed("template.zero_dc", self.zero_dc, bool, "true or false")
         if self.samples is not None:
+            if self.family != "explicit-samples":
+                raise InvalidArgumentError(f"template.samples needs an explicit-samples template, got {self.family!r}")
             samples = entries("template.samples", self.samples)
             for v in samples:
                 real("template.samples", v, -math.inf)

@@ -2,7 +2,7 @@
 
 Conditioning the correlation sequence on one Fourier coefficient of the noise
 gives a Gaussian vector with a cosine mean and a circulant covariance.  This
-module builds that object, samples it spectrally, estimates the
+module builds its zero-mean part, samples it spectrally, estimates the
 phase-convergence constant by Monte-Carlo, evaluates the closed-form
 high-dimensional rates, and exposes the extreme-value helpers (Gumbel
 normalizing constants, the softmax approximation of argmax functionals) used
@@ -31,25 +31,24 @@ CK_MIN_DRAWS = 1000
 
 @dataclass(frozen=True)
 class ConditionalGaussian:
-    """Law of the correlation sequence given one noise Fourier coefficient.
+    """Zero-mean part of the correlation sequence's law given one noise
+    Fourier coefficient N[k].
 
-    mean[r] = 2 |X[k]| nmag cos(2*pi*k*r/d + nphase - phi_X[k]); the covariance
-    is circulant with Fourier weights ``spectral_eigenvalues``, normalized so
-    the diagonal is 1 (the weights sum to 1).
+    The covariance is circulant with Fourier weights
+    ``spectral_eigenvalues``, normalized so the diagonal is 1 (the weights
+    sum to 1).  The law's cosine mean, 2 |X[k]| |N[k]| cos(2*pi*k*r/d +
+    phi_N - phi_X[k]), belongs to the caller.
     """
 
-    mean: np.ndarray
     spectral_eigenvalues: np.ndarray
 
     @property
     def d(self) -> int:
-        return self.mean.size
+        return self.spectral_eigenvalues.size
 
 
-def build_conditional_gaussian(
-    template: TemplateSignal, k: int, noise_magnitude: float, noise_phase: float
-) -> ConditionalGaussian:
-    """Construct the conditional law at frequency k.
+def build_conditional_gaussian(template: TemplateSignal, k: int) -> ConditionalGaussian:
+    """Construct the zero-mean conditional law at frequency k.
 
     The covariance weights zero the conditioned pair (k, d-k), keep bins 0 and
     d/2 as-is, and scale every other bin by sqrt(2); they are then normalized
@@ -58,8 +57,6 @@ def build_conditional_gaussian(
     d = template.d
     if not (0 <= k <= d - 1):
         raise InvalidArgumentError(f"frequency index {k} out of range for d={d}")
-    if noise_magnitude < 0:
-        raise InvalidArgumentError("noise magnitude must be nonnegative")
     w = template.magnitudes**2
     t = 2.0 * w
     t[0] = w[0]
@@ -70,16 +67,13 @@ def build_conditional_gaussian(
     if total <= 0.0:
         raise InvalidArgumentError("covariance weights vanish; template has no usable spectrum")
     scale = 1.0 / total
-    r = np.arange(d)
-    phase = 2.0 * np.pi * k * r / d + noise_phase - template.phases[k]
-    mean = 2.0 * template.magnitudes[k] * noise_magnitude * np.cos(phase)
-    return ConditionalGaussian(mean=mean, spectral_eigenvalues=scale * t)
+    return ConditionalGaussian(spectral_eigenvalues=scale * t)
 
 
 def sample_cyclostationary(cg: ConditionalGaussian, rng, size: int) -> np.ndarray:
-    """Draw ``size`` rows from the conditional law by filtering white noise.
+    """Draw ``size`` rows from the zero-mean conditional law by filtering white noise.
 
-    Returns a (size, d) array.  Each row is mean + irfft(rfft(w) * h) for a
+    Returns a (size, d) array.  Each row is irfft(rfft(w) * h) for a
     white row w of d standard normals, with h[l] = sqrt(d (lambda_l +
     lambda_{d-l}) / 2) on the half spectrum l = 0 .. d/2.  The filter is
     circulant with eigenvalues h^2, which are the eigenvalues of the target
@@ -98,9 +92,7 @@ def sample_cyclostationary(cg: ConditionalGaussian, rng, size: int) -> np.ndarra
     h = np.sqrt(0.5 * d * (lam[half] + lam[(d - half) % d]))
     spec = np.fft.rfft(rng.standard_normal((int(size), d)), axis=1)
     spec *= h
-    rows = np.fft.irfft(spec, d, axis=1)
-    rows += cg.mean
-    return rows
+    return np.fft.irfft(spec, d, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -213,18 +213,17 @@ def prop3_case(d: int, draws: int, seed, workers: Optional[int] = None) -> tuple
     """Return (softmax value, Monte-Carlo E[f(argmax)]) for the pinned case.
 
     The Monte-Carlo side counts ``draws`` argmax samples of the conditional
-    law ``N(mean, Sigma)`` in antithetic pairs: each row ``z`` of the law
-    built at noise magnitude 0 (zero mean, the same covariance) gives the
-    exact samples ``mean + z`` and ``mean - z``, so half as many rows are
-    drawn.  ``mean`` is ``2 |X[k]| PROP3_NOISE_MAG f``, the law's mean at
-    the pinned magnitude, computed as ``build_conditional_gaussian`` does.
+    law ``N(mean, Sigma)`` in antithetic pairs: each row ``z`` of the
+    zero-mean law gives the exact samples ``mean + z`` and ``mean - z``, so
+    half as many rows are drawn.  ``mean`` is ``2 |X[k]| PROP3_NOISE_MAG
+    f``, the law's cosine mean at the pinned noise magnitude and phase.
     The draws run in keyed blocks of ``seed`` on up to ``workers``
     processes; their argmax counts are integers, so the result does not
     depend on the worker count.
     """
     spec = SignalFamilySpec(family="power-law-psd", d=d, beta=0.0, phase_seed=0)
     template = generate_template(spec)
-    cg = build_conditional_gaussian(template, PROP3_K, 0.0, 0.0)
+    cg = build_conditional_gaussian(template, PROP3_K)
     r = np.arange(d)
     f = np.cos(2.0 * np.pi * PROP3_K * r / d + PROP3_NOISE_PHASE - template.phases[PROP3_K])
     mean = 2.0 * template.magnitudes[PROP3_K] * PROP3_NOISE_MAG * f
@@ -281,7 +280,7 @@ def lemma1_check(
     if trials < LEMMA1_MIN_DRAWS:
         raise InsufficientDataError(f"lemma1_check needs at least {LEMMA1_MIN_DRAWS} draws")
     d = template.d
-    cg = build_conditional_gaussian(template, k, 0.0, 0.0)
+    cg = build_conditional_gaussian(template, k)
     mu = np.cos(2.0 * np.pi * k * np.arange(d) / d + phi)
     parts = run_blocks(_joint_counts, [(cg, mu, ss, n) for ss, n in blocks(trials, seed)], workers)
     joint = sum(parts).reshape(d, d)

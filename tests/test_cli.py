@@ -279,10 +279,12 @@ class TestRun:
              "template.samples must be finite"),
             ({"template": {"family": "explicit-samples", "d": 4, "samples": [1, 0, 0, math.nan]}},
              "template.samples must be finite"),
+            ({"template": {"family": "delta", "d": 8, "samples": [1, 2, 3, 4, 5, 6, 7, 8]}},
+             "template.samples needs an explicit-samples template, got 'delta'"),
         ],
         ids=["samples-length", "zero-dc", "phase-seed-fraction", "phase-seed-negative",
              "sweep-extra-key", "beta-sweep-on-delta", "pad-sweep-on-psd", "d-sweep-of-samples",
-             "all-zero-samples", "huge-sample", "nan-sample"],
+             "all-zero-samples", "huge-sample", "nan-sample", "samples-on-delta"],
     )
     def test_config_error_is_usage_error_before_any_trial(
         self, tmp_path, capsys, monkeypatch, overrides, message
@@ -468,6 +470,13 @@ class TestVerify:
         assert main(["verify", "alignment", "--cases", "40"]) == 0
         out = capsys.readouterr().out
         assert "argmax agreement" in out and "FAIL" not in out
+
+    def test_runs_where_the_platform_reports_no_affinity(self, capsys, monkeypatch):
+        # os.sched_getaffinity is Linux-only; elsewhere the usable cores are the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert alignment.usable_cores() == (os.cpu_count() or 1)
+        assert main(["verify", "alignment", "--cases", "1"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_help_names_every_suite(self, capsys, monkeypatch):
         monkeypatch.setitem(verify.SUITES, "extra", lambda **kwargs: [])

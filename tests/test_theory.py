@@ -51,12 +51,8 @@ def sample_from(cg, w):
 
 class TestConditionalGaussian:
     def test_delta_template_structure(self):
-        d, k, nmag = 16, 3, 1.7
-        cg = E.build_conditional_gaussian(delta(d), k, nmag, 0.4)
-        amp = 2.0 * (1.0 / math.sqrt(d)) * nmag
-        np.testing.assert_allclose(
-            cg.mean, amp * np.cos(2 * np.pi * k * np.arange(d) / d + 0.4), atol=1e-12
-        )
+        d, k = 16, 3
+        cg = E.build_conditional_gaussian(delta(d), k)
         lam = cg.spectral_eigenvalues
         assert lam[k] == 0.0 and lam[d - k] == 0.0
         generic = np.delete(lam, [0, d // 2, k, d - k])
@@ -66,12 +62,12 @@ class TestConditionalGaussian:
     def test_eigenvalues_sum_to_one(self):
         t = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=8, beta=1.0))
         for k in range(8):
-            cg = E.build_conditional_gaussian(t, k, 1.0, 0.0)
+            cg = E.build_conditional_gaussian(t, k)
             assert abs(cg.spectral_eigenvalues.sum() - 1.0) <= 1e-12
 
     def test_k_zero_boundary(self):
         d = 8
-        cg = E.build_conditional_gaussian(delta(d), 0, 1.0, 0.0)
+        cg = E.build_conditional_gaussian(delta(d), 0)
         lam = cg.spectral_eigenvalues
         assert lam[0] == 0.0
         assert lam[d // 2] > 0.0  # only bin 0 was zeroed
@@ -79,60 +75,53 @@ class TestConditionalGaussian:
 
     def test_covariance_diagonal_is_one(self):
         t = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=8, beta=2.0))
-        cg = E.build_conditional_gaussian(t, 2, 0.8, -1.0)
+        cg = E.build_conditional_gaussian(t, 2)
         np.testing.assert_allclose(np.diag(covariance(cg)), 1.0, atol=1e-12)
 
     def test_sigma2_approaches_half_for_flat_family(self):
         # the normalizer, read off a bin outside {0, d/2, k, d-k}: lambda_j = 2 |X[j]|^2 / sum
         for d in (64, 256, 1024):
             t = flat(d)
-            cg = E.build_conditional_gaussian(t, 3, 1.0, 0.0)
+            cg = E.build_conditional_gaussian(t, 3)
             assert abs(cg.spectral_eigenvalues[1] / (2.0 * t.magnitudes[1] ** 2) - 0.5) <= 2.0 / d
 
     def test_invalid_k(self):
         with pytest.raises(InvalidArgumentError):
-            E.build_conditional_gaussian(delta(8), 8, 1.0, 0.0)
+            E.build_conditional_gaussian(delta(8), 8)
 
 
 class TestSampler:
     def test_zero_eigenvalues_give_deterministic_mean(self):
-        cg = ConditionalGaussian(mean=np.zeros(8), spectral_eigenvalues=np.zeros(8))
+        cg = ConditionalGaussian(spectral_eigenvalues=np.zeros(8))
         np.testing.assert_array_equal(E.sample_cyclostationary(cg, 0, size=3), np.zeros((3, 8)))
 
     def test_flat_eigenvalues_have_no_lag_correlation(self):
         d = 16
-        cg = ConditionalGaussian(mean=np.zeros(d), spectral_eigenvalues=np.full(d, 1.0 / d))
+        cg = ConditionalGaussian(spectral_eigenvalues=np.full(d, 1.0 / d))
         z = E.sample_cyclostationary(cg, 5, size=100_000)
         lag1 = (z[:, :-1] * z[:, 1:]).mean()
         se = (z[:, :-1] * z[:, 1:]).std(ddof=1) / math.sqrt(z[:, 1:].size)
         assert abs(lag1) <= 3 * se
 
-    def test_planted_mean_recovered(self):
-        # antithetic white rows W and -W: the zero-mean part cancels exactly
-        cg = E.build_conditional_gaussian(beta_one(16), 2, 1.5, 0.9)
-        w = np.random.default_rng(11).standard_normal((1000, 16))
-        z = np.concatenate([sample_from(cg, w), sample_from(cg, -w)])
-        np.testing.assert_allclose(z.mean(0), cg.mean, rtol=0, atol=1e-12)
-
     @pytest.mark.parametrize("k", [0, 2, 8])
     def test_filter_gram_is_target_covariance(self, k):
         # row i is the filter F applied to e_i, so G = F^T and the law's
         # covariance F F^T is G^T G
-        cg = E.build_conditional_gaussian(beta_one(16), k, 1.5, 0.9)
-        g = sample_from(cg, np.eye(16)) - cg.mean
+        cg = E.build_conditional_gaussian(beta_one(16), k)
+        g = sample_from(cg, np.eye(16))
         np.testing.assert_allclose(g.T @ g, covariance(cg), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("d", [7, 8])
     def test_asymmetric_eigenvalues_are_symmetrised(self, d):
         lam = np.random.default_rng(d).uniform(0.0, 2.0 / d, size=d)
-        cg = ConditionalGaussian(mean=np.zeros(d), spectral_eigenvalues=lam)
+        cg = ConditionalGaussian(spectral_eigenvalues=lam)
         g = sample_from(cg, np.eye(d))
         np.testing.assert_allclose(g.T @ g, covariance(cg), rtol=0, atol=1e-12)
 
     def test_empirical_covariance_matches_target(self):
         t = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=8, beta=1.0))
-        cg = E.build_conditional_gaussian(t, 1, 1.0, 0.0)
-        z = E.sample_cyclostationary(cg, 21, size=100_000) - cg.mean[None, :]
+        cg = E.build_conditional_gaussian(t, 1)
+        z = E.sample_cyclostationary(cg, 21, size=100_000)
         emp = (z.T @ z) / z.shape[0]
         target = covariance(cg)
         # entrywise 3-SE window; SE of a covariance entry is ~sqrt((1+c^2)/n)
@@ -141,12 +130,12 @@ class TestSampler:
 
     def test_negative_eigenvalue_rejected(self):
         lam = np.array([0.5, -0.1, 0.4, 0.2])
-        cg = ConditionalGaussian(mean=np.zeros(4), spectral_eigenvalues=lam)
+        cg = ConditionalGaussian(spectral_eigenvalues=lam)
         with pytest.raises(InvalidArgumentError):
             E.sample_cyclostationary(cg, 0, size=1)
 
     def test_consecutive_calls_continue_one_stream(self):
-        cg = E.build_conditional_gaussian(flat(16), 3, 1.0, 0.2)
+        cg = E.build_conditional_gaussian(flat(16), 3)
         rng = np.random.default_rng(8)
         parts = [E.sample_cyclostationary(cg, rng, size=m) for m in (1, 5, 4)]
         whole = E.sample_cyclostationary(cg, np.random.default_rng(8), size=10)
@@ -343,7 +332,7 @@ class TestLemma1:
     def test_zero_mean_control_is_balanced(self):
         # independent zero-mean draws: per-bin argmax frequencies must agree
         t = delta(8)
-        cg = E.build_conditional_gaussian(t, 1, 1.0, 0.0)
+        cg = E.build_conditional_gaussian(t, 1)
         rng = np.random.default_rng(33)
         n = 100_000
         r1 = np.argmax(E.sample_cyclostationary(cg, rng, size=n), axis=1)
@@ -390,7 +379,7 @@ class TestLemma1:
         d, k, phi, n, seed = 8, 1, 2.0 * math.pi / 3.0, 100_000, 6
         t = delta(d)
         rep = E.lemma1_check(t, k, phi, n, seed)
-        cg = E.build_conditional_gaussian(t, k, 0.0, 0.0)
+        cg = E.build_conditional_gaussian(t, k)
         z = np.concatenate([E.sample_cyclostationary(cg, ss, size=size) for ss, size in alignment.blocks(n, seed)])
         mu = np.cos(2.0 * np.pi * k * np.arange(d) / d + phi)
         r1 = np.argmax(z + mu, axis=1)
@@ -415,15 +404,15 @@ class TestVerifyMonteCarlo:
         d, draws, seed = 64, 2 * alignment.BLOCK + 5, 3
         t = flat(d)
         k, phase = verify.PROP3_K, verify.PROP3_NOISE_PHASE
-        cg0 = E.build_conditional_gaussian(t, k, 0.0, 0.0)
-        mean = E.build_conditional_gaussian(t, k, verify.PROP3_NOISE_MAG, phase).mean
+        cg0 = E.build_conditional_gaussian(t, k)
+        f = np.cos(2.0 * np.pi * k * np.arange(d) / d + phase - t.phases[k])
+        mean = 2.0 * t.magnitudes[k] * verify.PROP3_NOISE_MAG * f
         counts = np.zeros(d, dtype=np.int64)
         for ss, n in alignment.blocks(draws, seed):
             z = E.sample_cyclostationary(cg0, ss, size=(n + 1) // 2)
             counts += np.bincount(np.argmax(mean + z, axis=1), minlength=d)
             counts += np.bincount(np.argmax(mean - z, axis=1)[: n // 2], minlength=d)
         assert counts.sum() == draws
-        f = np.cos(2.0 * np.pi * k * np.arange(d) / d + phase - t.phases[k])
         soft, mc = verify.prop3_case(d, draws, seed)
         assert soft == E.softmax_expectation(f, mean)
         assert mc == float(f @ counts) / draws
