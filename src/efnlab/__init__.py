@@ -46,7 +46,6 @@ from .signals import (
 )
 from .theory import (
     AlignmentMoments,
-    ConditionalGaussian,
     alignment_moments,
     build_conditional_gaussian,
     estimate_ck_profile,

@@ -2,7 +2,7 @@
 
 Conditioning the correlation sequence on one Fourier coefficient of the noise
 gives a Gaussian vector with a cosine mean and a circulant covariance.  This
-module builds its zero-mean part, samples it spectrally, estimates the
+module builds its zero-mean part as the filter that samples it, estimates the
 phase-convergence constant by Monte-Carlo, evaluates the closed-form
 high-dimensional rates, and exposes the extreme-value helpers (Gumbel
 normalizing constants, the softmax approximation of argmax functionals) used
@@ -29,30 +29,17 @@ CK_MIN_DRAWS = 1000
 # Conditional Gaussian construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConditionalGaussian:
-    """Zero-mean part of the correlation sequence's law given one noise
-    Fourier coefficient N[k].
+def build_conditional_gaussian(template: TemplateSignal, k: int) -> np.ndarray:
+    """The zero-mean part of the correlation sequence's law given one noise
+    Fourier coefficient N[k], as its read-only half-spectrum filter h.
 
-    The covariance is circulant with Fourier weights
-    ``spectral_eigenvalues``, normalized so the diagonal is 1 (the weights
-    sum to 1).  The law's cosine mean, 2 |X[k]| |N[k]| cos(2*pi*k*r/d +
-    phi_N - phi_X[k]), belongs to the caller.
-    """
-
-    spectral_eigenvalues: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return self.spectral_eigenvalues.size
-
-
-def build_conditional_gaussian(template: TemplateSignal, k: int) -> ConditionalGaussian:
-    """Construct the zero-mean conditional law at frequency k.
-
-    The covariance weights zero the conditioned pair (k, d-k), keep bins 0 and
-    d/2 as-is, and scale every other bin by sqrt(2); they are then normalized
-    so the diagonal is 1.
+    The law's covariance is circulant with Fourier weights lambda: bins 0 and
+    d/2 weigh |X|^2, every other bin 2 |X|^2, the conditioned pair (k, d-k)
+    is zeroed, and the weights are scaled to sum to 1, so the diagonal is 1.
+    Then h[l] = sqrt(d (lambda_l + lambda_{d-l}) / 2) for l = 0 .. d/2, and
+    h^2 are the covariance's eigenvalues (template spectra are symmetric only
+    to rounding, so the pair is averaged).  The law's cosine mean,
+    2 |X[k]| |N[k]| cos(2*pi*k*r/d + phi_N - phi_X[k]), belongs to the caller.
     """
     d = template.d
     if not (0 <= k <= d - 1):
@@ -67,31 +54,26 @@ def build_conditional_gaussian(template: TemplateSignal, k: int) -> ConditionalG
     if total <= 0.0:
         raise InvalidArgumentError("covariance weights vanish; template has no usable spectrum")
     scale = 1.0 / total
-    return ConditionalGaussian(spectral_eigenvalues=scale * t)
-
-
-def sample_cyclostationary(cg: ConditionalGaussian, rng, size: int) -> np.ndarray:
-    """Draw ``size`` rows from the zero-mean conditional law by filtering white noise.
-
-    Returns a (size, d) array.  Each row is irfft(rfft(w) * h) for a
-    white row w of d standard normals, with h[l] = sqrt(d (lambda_l +
-    lambda_{d-l}) / 2) on the half spectrum l = 0 .. d/2.  The filter is
-    circulant with eigenvalues h^2, which are the eigenvalues of the target
-    covariance sum_l lambda_l cos(2*pi*l*(r-s)/d), so the law is exact;
-    lambda is symmetrised here rather than required to be symmetric, since
-    template spectra are symmetric only to rounding.  Row i takes normals
-    d*i .. d*(i+1)-1 of the stream, so consecutive calls give the rows of
-    one larger call, bit for bit.
-    """
-    lam = np.asarray(cg.spectral_eigenvalues, dtype=float)
-    if np.any(lam < 0):
-        raise InvalidArgumentError("spectral eigenvalues must be nonnegative")
-    rng = np.random.default_rng(rng)
-    d = cg.d
+    lam = scale * t
     half = np.arange(d // 2 + 1)
     h = np.sqrt(0.5 * d * (lam[half] + lam[(d - half) % d]))
+    h.flags.writeable = False
+    return h
+
+
+def sample_cyclostationary(cg: np.ndarray, rng, size: int) -> np.ndarray:
+    """Draw ``size`` rows of the zero-mean law whose half-spectrum filter is ``cg``.
+
+    Returns a (size, d) array, d = 2 (len(cg) - 1).  Each row is
+    irfft(rfft(w) * cg) for a white row w of d standard normals: a circulant
+    filter, so the rows' covariance has eigenvalues cg^2.  Row i takes
+    normals d*i .. d*(i+1)-1 of the stream, so consecutive calls give the
+    rows of one larger call, bit for bit.
+    """
+    d = 2 * (cg.size - 1)
+    rng = np.random.default_rng(rng)
     spec = np.fft.rfft(rng.standard_normal((int(size), d)), axis=1)
-    spec *= h
+    spec *= cg
     return np.fft.irfft(spec, d, axis=1)
 
 
@@ -99,21 +81,15 @@ def sample_cyclostationary(cg: ConditionalGaussian, rng, size: int) -> np.ndarra
 # Gumbel constants and the softmax argmax approximation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GumbelConstants:
-    """Normalizing constants for the maximum of d near-independent Gaussians."""
-
-    a_d: float
-    b_d: float
-
-
-def gumbel_constants(d: int) -> GumbelConstants:
-    """a_d = sqrt(2 ln d);  b_d = a_d - (ln ln d + ln 4*pi) / (2 a_d)."""
+def gumbel_constants(d: int) -> tuple[float, float]:
+    """(a_d, b_d), the normalizing constants for the maximum of d
+    near-independent Gaussians: a_d = sqrt(2 ln d);
+    b_d = a_d - (ln ln d + ln 4*pi) / (2 a_d)."""
     if d < 3:
         raise InvalidArgumentError("gumbel constants need d >= 3 (ln ln d must be defined)")
     a = math.sqrt(2.0 * math.log(d))
     b = a - (math.log(math.log(d)) + math.log(4.0 * math.pi)) / (2.0 * a)
-    return GumbelConstants(a_d=a, b_d=b)
+    return a, b
 
 
 def softmax_expectation(f, mean) -> float:

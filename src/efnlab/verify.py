@@ -174,12 +174,12 @@ def gumbel_suite(d: int = 4096, replicates: int = 10_000, seed=0) -> list[CheckR
     fixed 0.05 bound fails on some seeds at the default count (KS 0.039 to
     0.055 over seeds 0 to 19), so new draws would be a new gamble on it.
     """
-    g = gumbel_constants(d)
+    a_d, b_d = gumbel_constants(d)
     rng = np.random.default_rng(seed)
     maxima = np.concatenate(
         [rng.standard_normal((stop - start, d)).max(axis=1) for start, stop in chunks(replicates, d)]
     )
-    ks = ks_statistic(g.a_d * (maxima - g.b_d))
+    ks = ks_statistic(a_d * (maxima - b_d))
     return [CheckRow(f"gumbel KS (d={d}, n={replicates})", ks, 0.05, "<=")]
 
 
@@ -198,14 +198,15 @@ def _argmax_counts(cg, mean: np.ndarray, seed, draws: int) -> np.ndarray:
     ``(draws + 1) // 2`` rows, counts the plus side of every row and the minus
     side of the first ``draws // 2``.
     """
+    d = mean.size
     rng = np.random.default_rng(seed)
-    counts = np.zeros(cg.d, dtype=np.int64)
-    for start, stop in chunks((draws + 1) // 2, cg.d):
+    counts = np.zeros(d, dtype=np.int64)
+    for start, stop in chunks((draws + 1) // 2, d):
         z = sample_cyclostationary(cg, rng, size=stop - start)
         s = mean + z
-        counts += np.bincount(np.argmax(s, axis=1), minlength=cg.d)
+        counts += np.bincount(np.argmax(s, axis=1), minlength=d)
         m = min(stop, draws // 2) - start  # rows of this chunk whose minus side counts
-        counts += np.bincount(np.argmax(np.subtract(mean, z[:m], out=s[:m]), axis=1), minlength=cg.d)
+        counts += np.bincount(np.argmax(np.subtract(mean, z[:m], out=s[:m]), axis=1), minlength=d)
     return counts
 
 
@@ -254,7 +255,7 @@ class Lemma1Report:
 
 def _joint_counts(cg, mu: np.ndarray, seed, draws: int) -> np.ndarray:
     """The flat histogram of (argmax of z + mu, argmax of z - mu) over one block's draws z from ``cg``."""
-    d = cg.d
+    d = mu.size
     rng = np.random.default_rng(seed)
     joint = np.zeros(d * d, dtype=np.int64)
     for start, stop in chunks(draws, d):

@@ -20,7 +20,7 @@ from efnlab.experiment import ExperimentConfig
 from efnlab.signals import SignalFamilySpec, generate_template
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-CORES = len(os.sched_getaffinity(0))  # the most --threads takes
+CORES = alignment.usable_cores()  # the most --threads takes
 
 
 def write_config(path, **overrides):

@@ -8,7 +8,6 @@ import pytest
 import efnlab as E
 from efnlab import alignment, experiment, verify
 from efnlab.errors import ExcludedBinError, InsufficientDataError, InvalidArgumentError
-from efnlab.theory import ConditionalGaussian
 
 
 def delta(d):
@@ -37,53 +36,84 @@ class FixedNormals(np.random.Generator):
         return self.block.copy()
 
 
-def covariance(cg):
-    """Dense circulant covariance of ``cg``, the reference for the spectral sampler."""
-    first = (cg.d * np.fft.ifft(cg.spectral_eigenvalues)).real
-    i = np.arange(cg.d)
-    return first[(i[:, None] - i[None, :]) % cg.d]
+def covariance(template, k):
+    """Dense covariance of the law at frequency k, built from the template's
+    magnitudes: the reference for the builder's filter and the sampler."""
+    d = template.d
+    lam = 2.0 * template.magnitudes**2
+    lam[[0, d // 2]] /= 2.0
+    lam[[k, (d - k) % d]] = 0.0
+    first = (d * np.fft.ifft(lam / lam.sum())).real
+    i = np.arange(d)
+    return first[(i[:, None] - i[None, :]) % d]
 
 
-def sample_from(cg, w):
+def sample_from(h, w):
     """The sampler's rows for the white block ``w``."""
-    return E.sample_cyclostationary(cg, FixedNormals(w), size=w.shape[0])
+    return E.sample_cyclostationary(h, FixedNormals(w), size=w.shape[0])
+
+
+def gram(h):
+    """The covariance of the sampler's rows: row i is the filter F applied to
+    e_i, so the rows form G = F^T and the covariance F F^T is G^T G."""
+    g = sample_from(h, np.eye(2 * (h.size - 1)))
+    return g.T @ g
 
 
 class TestConditionalGaussian:
     def test_delta_template_structure(self):
         d, k = 16, 3
-        cg = E.build_conditional_gaussian(delta(d), k)
-        lam = cg.spectral_eigenvalues
-        assert lam[k] == 0.0 and lam[d - k] == 0.0
-        generic = np.delete(lam, [0, d // 2, k, d - k])
+        h = E.build_conditional_gaussian(delta(d), k)
+        assert h.shape == (d // 2 + 1,) and h[k] == 0.0
+        generic = np.delete(h, [0, d // 2, k])
         assert np.ptp(generic) <= 1e-15  # all generic bins carry equal weight
-        assert lam[0] == pytest.approx(generic[0] / 2.0, abs=1e-15)
+        assert h[0] == h[d // 2] == pytest.approx(generic[0] / math.sqrt(2.0), abs=1e-15)
+        # the conditioned pair (k, d-k) is the Gram matrix's null space
+        waves = np.exp(2j * np.pi * k * np.arange(d) / d)
+        np.testing.assert_allclose(gram(h) @ waves, 0.0, rtol=0, atol=1e-12)
 
     def test_eigenvalues_sum_to_one(self):
         t = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=8, beta=1.0))
         for k in range(8):
-            cg = E.build_conditional_gaussian(t, k)
-            assert abs(cg.spectral_eigenvalues.sum() - 1.0) <= 1e-12
+            h = E.build_conditional_gaussian(t, k)
+            eigenvalues = np.concatenate([h, h[1:-1]]) ** 2  # every bin of the full spectrum
+            assert abs(eigenvalues.sum() / 8 - 1.0) <= 1e-12
 
     def test_k_zero_boundary(self):
         d = 8
-        cg = E.build_conditional_gaussian(delta(d), 0)
-        lam = cg.spectral_eigenvalues
-        assert lam[0] == 0.0
-        assert lam[d // 2] > 0.0  # only bin 0 was zeroed
-        assert abs(lam.sum() - 1.0) <= 1e-12
+        h = E.build_conditional_gaussian(delta(d), 0)
+        assert h[0] == 0.0
+        assert h[d // 2] > 0.0  # only bin 0 was zeroed
+        np.testing.assert_allclose(np.diag(gram(h)), 1.0, rtol=0, atol=1e-12)
 
     def test_covariance_diagonal_is_one(self):
         t = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=8, beta=2.0))
-        cg = E.build_conditional_gaussian(t, 2)
-        np.testing.assert_allclose(np.diag(covariance(cg)), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.diag(gram(E.build_conditional_gaussian(t, 2))), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.diag(covariance(t, 2)), 1.0, rtol=0, atol=1e-12)
 
     def test_sigma2_approaches_half_for_flat_family(self):
-        # the normalizer, read off a bin outside {0, d/2, k, d-k}: lambda_j = 2 |X[j]|^2 / sum
+        # the normalizer, read off a bin outside {0, d/2, k}: h_j^2 = 2 d |X[j]|^2 / sum
         for d in (64, 256, 1024):
             t = flat(d)
-            cg = E.build_conditional_gaussian(t, 3)
-            assert abs(cg.spectral_eigenvalues[1] / (2.0 * t.magnitudes[1] ** 2) - 0.5) <= 2.0 / d
+            h = E.build_conditional_gaussian(t, 3)
+            assert abs(h[1] ** 2 / (2.0 * d * t.magnitudes[1] ** 2) - 0.5) <= 2.0 / d
+
+    @pytest.mark.parametrize("k", [0, 3, 8, 13])
+    def test_filter_is_the_weights_formula_bit_for_bit(self, k):
+        # the weights and the filter in the order the sampler has always used
+        t = beta_one(16)
+        d = t.d
+        w = t.magnitudes**2
+        lam = 2.0 * w
+        lam[0] = w[0]
+        lam[d // 2] = w[d // 2]
+        lam[k] = 0.0
+        lam[(d - k) % d] = 0.0
+        lam = (1.0 / lam.sum()) * lam
+        half = np.arange(d // 2 + 1)
+        h = E.build_conditional_gaussian(t, k)
+        np.testing.assert_array_equal(h, np.sqrt(0.5 * d * (lam[half] + lam[(d - half) % d])))
+        assert h.dtype == float and not h.flags.writeable
 
     def test_invalid_k(self):
         with pytest.raises(InvalidArgumentError):
@@ -92,72 +122,53 @@ class TestConditionalGaussian:
 
 class TestSampler:
     def test_zero_eigenvalues_give_deterministic_mean(self):
-        cg = ConditionalGaussian(spectral_eigenvalues=np.zeros(8))
-        np.testing.assert_array_equal(E.sample_cyclostationary(cg, 0, size=3), np.zeros((3, 8)))
+        np.testing.assert_array_equal(E.sample_cyclostationary(np.zeros(5), 0, size=3), np.zeros((3, 8)))
 
     def test_flat_eigenvalues_have_no_lag_correlation(self):
         d = 16
-        cg = ConditionalGaussian(spectral_eigenvalues=np.full(d, 1.0 / d))
-        z = E.sample_cyclostationary(cg, 5, size=100_000)
+        z = E.sample_cyclostationary(np.ones(d // 2 + 1), 5, size=100_000)
         lag1 = (z[:, :-1] * z[:, 1:]).mean()
         se = (z[:, :-1] * z[:, 1:]).std(ddof=1) / math.sqrt(z[:, 1:].size)
         assert abs(lag1) <= 3 * se
 
     @pytest.mark.parametrize("k", [0, 2, 8])
     def test_filter_gram_is_target_covariance(self, k):
-        # row i is the filter F applied to e_i, so G = F^T and the law's
-        # covariance F F^T is G^T G
-        cg = E.build_conditional_gaussian(beta_one(16), k)
-        g = sample_from(cg, np.eye(16))
-        np.testing.assert_allclose(g.T @ g, covariance(cg), rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("d", [7, 8])
-    def test_asymmetric_eigenvalues_are_symmetrised(self, d):
-        lam = np.random.default_rng(d).uniform(0.0, 2.0 / d, size=d)
-        cg = ConditionalGaussian(spectral_eigenvalues=lam)
-        g = sample_from(cg, np.eye(d))
-        np.testing.assert_allclose(g.T @ g, covariance(cg), rtol=0, atol=1e-12)
+        t = beta_one(16)
+        np.testing.assert_allclose(gram(E.build_conditional_gaussian(t, k)), covariance(t, k), rtol=0, atol=1e-12)
 
     def test_empirical_covariance_matches_target(self):
         t = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=8, beta=1.0))
-        cg = E.build_conditional_gaussian(t, 1)
-        z = E.sample_cyclostationary(cg, 21, size=100_000)
+        z = E.sample_cyclostationary(E.build_conditional_gaussian(t, 1), 21, size=100_000)
         emp = (z.T @ z) / z.shape[0]
-        target = covariance(cg)
+        target = covariance(t, 1)
         # entrywise 3-SE window; SE of a covariance entry is ~sqrt((1+c^2)/n)
         se = np.sqrt((1.0 + target**2) / z.shape[0])
         assert np.all(np.abs(emp - target) <= 3 * se)
 
-    def test_negative_eigenvalue_rejected(self):
-        lam = np.array([0.5, -0.1, 0.4, 0.2])
-        cg = ConditionalGaussian(spectral_eigenvalues=lam)
-        with pytest.raises(InvalidArgumentError):
-            E.sample_cyclostationary(cg, 0, size=1)
-
     def test_consecutive_calls_continue_one_stream(self):
-        cg = E.build_conditional_gaussian(flat(16), 3)
+        h = E.build_conditional_gaussian(flat(16), 3)
         rng = np.random.default_rng(8)
-        parts = [E.sample_cyclostationary(cg, rng, size=m) for m in (1, 5, 4)]
-        whole = E.sample_cyclostationary(cg, np.random.default_rng(8), size=10)
+        parts = [E.sample_cyclostationary(h, rng, size=m) for m in (1, 5, 4)]
+        whole = E.sample_cyclostationary(h, np.random.default_rng(8), size=10)
         np.testing.assert_array_equal(np.concatenate(parts), whole)
 
 
 class TestGumbelConstants:
     def test_frozen_values(self):
-        g1024 = E.gumbel_constants(1024)
-        assert g1024.a_d == pytest.approx(3.7232974110590341, abs=1e-12)
-        assert g1024.b_d == pytest.approx(3.1234129637256856, abs=1e-12)
-        g256 = E.gumbel_constants(256)
-        assert g256.a_d == pytest.approx(3.330218444630791, abs=1e-12)
-        assert g256.b_d == pytest.approx(2.693030083172122, abs=1e-12)
+        a_d, b_d = E.gumbel_constants(1024)
+        assert a_d == pytest.approx(3.7232974110590341, abs=1e-12)
+        assert b_d == pytest.approx(3.1234129637256856, abs=1e-12)
+        a_d, b_d = E.gumbel_constants(256)
+        assert a_d == pytest.approx(3.330218444630791, abs=1e-12)
+        assert b_d == pytest.approx(2.693030083172122, abs=1e-12)
 
     def test_monotone_structure(self):
         prev = 0.0
         for d in (3, 8, 64, 1024, 1 << 20):
-            g = E.gumbel_constants(d)
-            assert g.a_d > prev
-            assert g.b_d < g.a_d
-            prev = g.a_d
+            a_d, b_d = E.gumbel_constants(d)
+            assert a_d > prev
+            assert b_d < a_d
+            prev = a_d
 
     def test_small_d_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -451,9 +462,9 @@ class TestVerifyMonteCarlo:
         d, n, seed = 64, 5000, 3
         monkeypatch.setattr(alignment, "BUDGET", 7 * d)
         row = verify.gumbel_suite(d=d, replicates=n, seed=seed)[0]
-        g = E.gumbel_constants(d)
+        a_d, b_d = E.gumbel_constants(d)
         maxima = np.random.default_rng(seed).standard_normal((n, d)).max(1)
-        assert row.measured == E.ks_statistic(g.a_d * (maxima - g.b_d))
+        assert row.measured == E.ks_statistic(a_d * (maxima - b_d))
 
 
 class TestCheckRow:
