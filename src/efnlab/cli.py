@@ -189,7 +189,7 @@ def _figure_config(figure: str, args) -> ExperimentConfig:
         d, ks = (256, range(1, 128)) if figure == "2b" else (1024, (1, 2, 3, 4, 6, 8, 12, 16, 24, 32))
         config = ExperimentConfig(
             template=SignalFamilySpec(family="power-law-psd", d=d, beta=1.0, phase_seed=1),
-            M=200, trials=200, frequencies=ks,
+            trials=200, frequencies=ks,
             sweep=SweepSpec("M", (200, 500, 1500, 5000)),
         )
     elif figure == "3":
@@ -224,7 +224,7 @@ def cmd_figure(args) -> int:
         columns = [
             "phase_mse", "phase_mse_stderr", "predicted_mse_thm2", "predicted_mse_thm1", "predicted_mse_thm1_stderr"
         ]
-        rows = [[int(M), *row] for M, stats in result for row in _stats_rows(stats, columns)]
+        rows = [[M, *row] for M, stats in result for row in _stats_rows(stats, columns)]
     elif args.figure in ("3", "4b"):
         header = [config.sweep.axis, "pearson", "stderr"]
         rows = [[v, s.mean_pearson, s.pearson_stderr] for v, s in result]

@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -44,6 +43,7 @@ _AXIS_FAMILY = {"beta": "power-law-psd", "pad-ratio": "zero-padded-pulse"}
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """An axis and its increasing values: ints for ``M`` and ``d``, floats for the others."""
     axis: str
     values: tuple
 
@@ -51,12 +51,10 @@ class SweepSpec:
         if self.axis not in SWEEP_AXES:
             raise InvalidArgumentError(f"sweep.axis must be one of {SWEEP_AXES}, got {self.axis!r}")
         field = f"sweep.values ({self.axis})"
-        vals = entries("sweep.values", self.values)
-        for v in vals:
-            if self.axis in ("M", "d"):
-                integral(field, v, 1)
-            else:
-                typed(field, v, numbers.Real, "a number")
+        if self.axis in ("M", "d"):
+            vals = tuple(integral(field, v, 1) for v in entries("sweep.values", self.values))
+        else:
+            vals = tuple(float(real(field, v, -math.inf)) for v in entries("sweep.values", self.values))
         if len(vals) < 1 or any(b <= a for a, b in zip(vals, vals[1:])):
             raise InvalidArgumentError("sweep.values must be non-empty and strictly increasing")
         object.__setattr__(self, "values", vals)
@@ -66,9 +64,9 @@ class SweepSpec:
 class ExperimentConfig:
     """Full description of one Monte-Carlo experiment.
 
-    Every field is checked on construction, from Python as from JSON, and so
-    is every config a sweep expands to.  Counts may be whole floats; they are
-    stored as ints.
+    Every field is checked on construction, from Python as from JSON.  Counts
+    may be whole floats; they are stored as ints.  A sweep config is checked at
+    every value it expands to, and is then its last value's config plus the sweep.
     """
 
     template: SignalFamilySpec
@@ -83,6 +81,14 @@ class ExperimentConfig:
     def __post_init__(self):
         typed("template", self.template, SignalFamilySpec, "a template spec")
         set_field = functools.partial(object.__setattr__, self)
+        if self.sweep is not None:
+            axis = typed("sweep", self.sweep, SweepSpec, "a sweep spec").axis
+            family = _AXIS_FAMILY.get(axis, self.template.family)
+            if family != self.template.family:
+                raise InvalidArgumentError(f"a {axis} sweep needs a {family} template, not {self.template.family}")
+            last = sweep_configs(self)[-1][1]
+            set_field("M", last.M)
+            set_field("template", last.template)
         set_field("M", integral("M", self.M, 1))
         set_field("trials", integral("trials", self.trials, 1))
         set_field("sigma", float(real("sigma", self.sigma, 0)))
@@ -95,23 +101,14 @@ class ExperimentConfig:
             raise InvalidArgumentError(f"frequencies must be distinct bins in [0, {d - 1}], got {freqs}")
         set_field("frequencies", freqs)
         set_field("ck_trials", integral("ck_trials", self.ck_trials, CK_MIN_DRAWS))
-        if self.sweep is not None:
-            axis = typed("sweep", self.sweep, SweepSpec, "a sweep spec").axis
-            family = _AXIS_FAMILY.get(axis, self.template.family)
-            if family != self.template.family:
-                raise InvalidArgumentError(f"a {axis} sweep needs a {family} template, not {self.template.family}")
-            sweep_configs(self)
 
     @property
     def checkpoints(self) -> tuple:
-        """The M values at which a trial reads its running average, ending at M.
-
-        An M sweep's values below M come first, so the config that walks a
-        whole M sweep is the one whose M is the sweep's largest value.
-        """
+        """The M values at which a trial reads its running average, ending at M:
+        an M sweep's values (its last is M), else M alone."""
         if self.sweep is None or self.sweep.axis != "M":
             return (self.M,)
-        return (*(int(v) for v in self.sweep.values if v < self.M), self.M)
+        return self.sweep.values
 
     def to_dict(self) -> dict:
         """The config as a JSON object; a config without a sweep has no "sweep" key."""
@@ -324,7 +321,8 @@ def run_experiment(
     config: ExperimentConfig, workers: Optional[int] = None, telemetry: Optional[Telemetry] = None
 ) -> AggregateStats:
     """Run all trials on up to ``workers`` processes (None: the usable cores)
-    and aggregate: the one-checkpoint walk.  Any sweep in the config is ignored.
+    and aggregate: the one-checkpoint walk.  A sweep config runs as its last
+    value's config (an M sweep at its largest M).
 
     The aggregate is identical for any worker count: trials are keyed by
     index, not by completion order.
@@ -332,8 +330,9 @@ def run_experiment(
     return _walk(dataclasses.replace(config, sweep=None), workers, telemetry)[0]
 
 
-def sweep_configs(config: ExperimentConfig) -> list[tuple[float, ExperimentConfig]]:
-    """Expand a sweep into (value, per-value config) pairs."""
+def sweep_configs(config: ExperimentConfig) -> list[tuple]:
+    """Expand a sweep into (value, config) pairs in value order: ``config``
+    without its sweep, the swept field at the value (the last pair's is ``config``'s)."""
     if config.sweep is None:
         raise InvalidArgumentError("config has no sweep")
     axis, out = config.sweep.axis, []
@@ -343,22 +342,21 @@ def sweep_configs(config: ExperimentConfig) -> list[tuple[float, ExperimentConfi
         else:
             t = dataclasses.replace(config.template, **{axis.replace("-", "_"): v})
             c = dataclasses.replace(config, template=t, sweep=None)
-        out.append((float(v), c))
+        out.append((v, c))
     return out
 
 
 def run_sweep(
     config: ExperimentConfig, workers: Optional[int] = None, telemetry: Optional[Telemetry] = None
-) -> list[tuple[float, AggregateStats]]:
+) -> list[tuple]:
     """(value, stats) for each sweep value.
 
-    An M sweep is one walk to its largest M, read at every value; each
-    other axis runs one experiment per value.
+    An M sweep is one walk of ``config`` as given, to its M (the largest
+    value), read at every value; each other axis runs one experiment per value.
     """
-    pairs = sweep_configs(config)
     if config.sweep.axis == "M":
-        walk = dataclasses.replace(config, M=pairs[-1][1].M)
-        return [(v, stats) for (v, _), stats in zip(pairs, _walk(walk, workers, telemetry))]
+        return list(zip(config.sweep.values, _walk(config, workers, telemetry)))
+    pairs = sweep_configs(config)
     for _, c in pairs:  # every value's template and bins, before any trial runs
         _template_of(c)
     return [(v, run_experiment(c, workers, telemetry)) for v, c in pairs]

@@ -141,16 +141,25 @@ class TestRun:
         assert (a / "stats.csv").read_bytes() == (b / "stats.csv").read_bytes()
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
-    def test_manifest_config_reproduces_outputs(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json")
+    @pytest.mark.parametrize(
+        "sweep, M, d",
+        [(None, 40, 64), ({"axis": "M", "values": [10, 20]}, 20, 64), ({"axis": "d", "values": [32, 128]}, 40, 128)],
+        ids=["plain", "m-sweep", "d-sweep"],
+    )
+    def test_manifest_config_reproduces_outputs(self, tmp_path, sweep, M, d):
+        # a sweep's manifest records the swept field at the sweep's last value
+        cfg = write_config(tmp_path / "cfg.json", sweep=sweep, trials=2)
         first = tmp_path / "first"
         assert main(["run", "--config", str(cfg), "--out", str(first)]) == 0
         manifest = json.loads((first / "manifest.json").read_text())
+        assert (manifest["config"]["M"], manifest["config"]["template"]["d"]) == (M, d)
         cfg2 = tmp_path / "from_manifest.json"
         cfg2.write_text(json.dumps(manifest["config"]))
         second = tmp_path / "second"
         assert main(["run", "--config", str(cfg2), "--out", str(second)]) == 0
-        assert (first / "stats.csv").read_bytes() == (second / "stats.csv").read_bytes()
+        for name in ("stats.csv", "summary.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert json.loads((second / "manifest.json").read_text())["config"] == manifest["config"]
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -273,6 +282,9 @@ class TestRun:
             ({"template": {"family": "explicit-samples", "d": 8, "samples": [1.0] * 8},
               "sweep": {"axis": "d", "values": [8, 16, 32]}},
              "template.samples must hold d = 16 numbers"),
+            ({"template": {"family": "power-law-psd", "d": 32}, "frequencies": [40],
+              "sweep": {"axis": "d", "values": [32, 128]}},
+             "frequencies must be distinct bins in [0, 31]"),
             ({"template": {"family": "explicit-samples", "d": 8, "samples": [0.0] * 8}},
              "cannot normalize a zero or non-finite signal"),
             ({"template": {"family": "explicit-samples", "d": 4, "samples": [1, 0, 0, 10**400]}},
@@ -283,7 +295,7 @@ class TestRun:
              "template.samples needs an explicit-samples template, got 'delta'"),
         ],
         ids=["samples-length", "zero-dc", "phase-seed-fraction", "phase-seed-negative",
-             "sweep-extra-key", "beta-sweep-on-delta", "pad-sweep-on-psd", "d-sweep-of-samples",
+             "sweep-extra-key", "beta-sweep-on-delta", "pad-sweep-on-psd", "d-sweep-of-samples", "d-sweep-bin",
              "all-zero-samples", "huge-sample", "nan-sample", "samples-on-delta"],
     )
     def test_config_error_is_usage_error_before_any_trial(
@@ -297,6 +309,16 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert ran == []
         assert not (out / "stats.csv").exists()
+
+    def test_d_sweep_checks_bins_at_each_swept_d(self, tmp_path):
+        # bin 40 is past the given d = 32 but inside both swept d; the given d is replaced, not run
+        template = {"family": "power-law-psd", "d": 32, "beta": 1.0, "phase_seed": 1}
+        sweep = {"axis": "d", "values": [64, 128]}
+        cfg = write_config(tmp_path / "cfg.json", template=template, frequencies=[40], trials=2, sweep=sweep)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "stats.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["64", "40"], ["128", "40"]]
 
     def test_whole_float_d_runs_at_that_d(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", template={"family": "power-law-psd", "d": 10.0})

@@ -335,7 +335,8 @@ class TestConfigValidation:
     def test_sweep_rejects_non_integral_values(self, axis):
         with pytest.raises(InvalidArgumentError, match=axis):
             E.SweepSpec(axis, (10.9, 20.5, 30.2))
-        assert E.SweepSpec(axis, (16, 32.0)).values == (16, 32.0)
+        values = E.SweepSpec(axis, (200.0, 500)).values  # stored as ints
+        assert values == (200, 500) and all(type(v) is int for v in values)
 
     @pytest.mark.parametrize("values", [(0, 10), (-5, 10)])
     def test_m_sweep_rejects_values_below_one(self, values):
@@ -346,8 +347,30 @@ class TestConfigValidation:
         sweep = E.SweepSpec("M", (10, 20, 40))
         assert small_config().checkpoints == (50,)
         assert small_config(M=40, sweep=sweep).checkpoints == (10, 20, 40)
-        assert small_config(M=30, sweep=sweep).checkpoints == (10, 20, 30)
+        # the swept M takes the sweep's last value, whatever the config gave
+        cfg = small_config(M=30, sweep=sweep)
+        assert cfg.M == 40 and cfg.checkpoints == (10, 20, 40)
         assert small_config(M=40, sweep=E.SweepSpec("d", (64, 128))).checkpoints == (40,)
+
+    @pytest.mark.parametrize("axis", ["beta", "pad-ratio"])
+    def test_template_field_sweep_values_are_floats(self, axis):
+        spec = E.SweepSpec(axis, (0, 1))
+        assert spec.values == (0.0, 1.0)
+        assert all(type(v) is float for v in spec.values)
+
+    @pytest.mark.parametrize(
+        "template, sweep",
+        [
+            (E.SignalFamilySpec(family="power-law-psd", d=64, beta=1.0, phase_seed=1), E.SweepSpec("M", (10, 20))),
+            (E.SignalFamilySpec(family="power-law-psd", d=64, beta=1.0, phase_seed=1), E.SweepSpec("d", (64, 128))),
+            (E.SignalFamilySpec(family="power-law-psd", d=64, phase_seed=1), E.SweepSpec("beta", (0.5, 2))),
+            (E.SignalFamilySpec(family="zero-padded-pulse", d=64), E.SweepSpec("pad-ratio", (0, 3))),
+        ],
+        ids=["M", "d", "beta", "pad-ratio"],
+    )
+    def test_sweep_config_is_its_last_values_config(self, template, sweep):
+        cfg = small_config(template=template, sweep=sweep)
+        assert dataclasses.replace(cfg, sweep=None) == E.sweep_configs(cfg)[-1][1]
 
     def test_sweep_values_must_increase(self):
         with pytest.raises(InvalidArgumentError):
@@ -360,7 +383,7 @@ class TestSweeps:
     def test_sweep_config_expansion(self):
         cfg = small_config(sweep=E.SweepSpec("M", (10, 20)))
         pairs = E.sweep_configs(cfg)
-        assert [int(v) for v, _ in pairs] == [10, 20]
+        assert [v for v, _ in pairs] == [10, 20]
         assert all(c.sweep is None for _, c in pairs)
         assert pairs[0][1].M == 10 and pairs[1][1].M == 20
 
@@ -375,7 +398,7 @@ class TestSweeps:
         cfg = small_config(trials=3, sweep=E.SweepSpec("M", (3, 7, 10, 21, 25)), ck_trials=1000)
         for workers in (1, 2):
             swept = E.run_sweep(cfg, workers=workers)
-            assert [v for v, _ in swept] == [3.0, 7.0, 10.0, 21.0, 25.0]
+            assert [v for v, _ in swept] == [3, 7, 10, 21, 25]
             for (_, stats), (_, solo_cfg) in zip(swept, E.sweep_configs(cfg)):
                 solo = E.run_experiment(solo_cfg, workers=workers)
                 assert stats.config == solo.config and stats.n_trials == solo.n_trials
@@ -383,6 +406,16 @@ class TestSweeps:
                     np.testing.assert_array_equal(getattr(stats, column), getattr(solo, column))
                 assert stats.mean_pearson == solo.mean_pearson
                 assert stats.pearson_stderr == solo.pearson_stderr
+
+    def test_run_experiment_on_an_m_sweep_runs_its_largest_m(self):
+        cfg = small_config(M=5, trials=2, sweep=E.SweepSpec("M", (10, 20)), ck_trials=1000)
+        telemetry = E.Telemetry()
+        stats = E.run_experiment(cfg, workers=1, telemetry=telemetry)
+        solo = E.run_experiment(E.sweep_configs(cfg)[-1][1], workers=1)
+        assert stats.config.M == 20 and stats.config == solo.config
+        assert telemetry.observations == 2 * 20
+        for column in cli.STATS_COLUMNS:
+            np.testing.assert_array_equal(getattr(stats, column), getattr(solo, column))
 
     def test_every_sweep_value_is_checked_before_any_trial(self, monkeypatch):
         # at beta = 100 the d=16 spectrum falls below the non-vanishing floor
