@@ -14,12 +14,14 @@ routes compute the same correlation sequence:
 
 It also sets the package's Monte-Carlo layout: :func:`chunks` bounds each
 loop's memory, :func:`chunk_arrays` allocates a block's arrays once for all
-its chunks, and :func:`run_blocks` runs a loop's keyed blocks on a process
-pool.
+its chunks, and :func:`run_blocks` runs a loop's keyed blocks on a
+:class:`Pool` of forked processes, its own or one that several loops share
+(a walk's ``C_k`` blocks and trials).
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -40,7 +42,8 @@ from .signals import TemplateSignal, dft, polar
 #: lemma1, and the gumbel maxima) allocate fresh arrays per chunk.  Chunks
 #: split a block (a trial, or :data:`BLOCK` draws) and are folded in row
 #: order or into integer counts, so no result depends on BUDGET; blocks are
-#: what run on separate processes.
+#: what run on separate processes, and a walk's ``C_k`` blocks and trials
+#: share one :class:`Pool`.
 BUDGET = 1 << 19
 
 #: Draws per keyed block of a Monte-Carlo loop other than the trials; a
@@ -79,25 +82,72 @@ def usable_cores() -> int:
 
 
 def pool_size(workers: Optional[int], count: int) -> int:
-    """Processes that :func:`run_blocks` runs ``count`` blocks on: ``workers``
+    """Processes that a :class:`Pool` runs ``count`` blocks on: ``workers``
     (None: the usable cores), and at most one per block."""
     cores = usable_cores() if workers is None else workers
     return max(1, min(cores, count))
 
 
-def run_blocks(fn: Callable, args: Sequence[tuple], workers: Optional[int] = None) -> list:
+class Pool:
+    """The processes that one block loop, or a walk's loops, run on:
+    :func:`pool_size` ``(workers, count)`` forked workers, or none when that
+    is one, and every block then runs in this process.
+
+    The workers fork together at the first block queued, before the executor
+    starts a thread.  On close a failed block cancels the blocks still
+    queued, and the workers are joined.
+    """
+
+    def __init__(self, workers: Optional[int], count: int):
+        self.size = pool_size(workers, count)
+        self._held = None
+        # fork: workers inherit the imported package instead of importing it again (~0.3 s)
+        fork = multiprocessing.get_context("fork")
+        self._executor = ProcessPoolExecutor(self.size, mp_context=fork) if self.size > 1 else None
+
+    def __enter__(self) -> "Pool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+
+    def _queue(self, fn: Callable, args: Sequence[tuple]) -> Callable[[], list]:
+        """Queue ``fn(*a)`` for each ``a`` in ``args``; returns the function that
+        waits for their results (in this process, that runs them)."""
+        if self._executor is None:
+            return lambda: [fn(*a) for a in args]
+        futures = [self._executor.submit(fn, *a) for a in args]
+        return lambda: [f.result() for f in futures]
+
+    def later(self, fn: Callable, args: Sequence[tuple]) -> Callable[[], list]:
+        """Hold the loop ``fn(*a)``, ``a`` in ``args``, back until the next
+        :meth:`run` has queued its own blocks; returns the function that gives
+        its results (queuing it first if no run has)."""
+        self._held = held = functools.cache(functools.partial(self._queue, fn, args))  # queued once
+        return lambda: held()()
+
+    def run(self, fn: Callable, args: Sequence[tuple]) -> list:
+        """``fn(*a)`` for each ``a`` in ``args``, queued ahead of any held loop."""
+        results = self._queue(fn, args)
+        if self._held is not None:
+            self._held()
+        return results()
+
+
+def run_blocks(fn: Callable, args: Sequence[tuple], workers: Optional[int] | Pool = None) -> list:
     """``fn(*a)`` for each ``a`` in ``args``, in the order of ``args``.
 
-    The blocks run on a process pool of :func:`pool_size` processes, or in
-    this process when that is one.  The caller folds the results in block
-    order, so what it returns does not depend on ``workers``.
+    ``workers`` is a :class:`Pool` the blocks share with other loops, or a
+    worker count (None: the usable cores) for a pool of their own, which
+    runs them in this process when :func:`pool_size` is one.  The caller
+    folds the results in block order, so what it returns does not depend on
+    the pool.
     """
-    size = pool_size(workers, len(args))
-    if size == 1:
-        return [fn(*a) for a in args]
-    # fork: workers inherit the imported package instead of importing it again (~0.3 s)
-    with ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fn, *zip(*args)))
+    if isinstance(workers, Pool):
+        return workers.run(fn, args)
+    with Pool(workers, len(args)) as pool:
+        return pool.run(fn, args)
 
 
 def chunk_arrays(template: TemplateSignal, count: int) -> tuple[np.ndarray, ...]:

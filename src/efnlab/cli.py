@@ -230,8 +230,14 @@ def cmd_figure(args) -> int:
         rows = [[v, s.mean_pearson, s.pearson_stderr] for v, s in result]
     else:  # 4c
         template = generate_template(config.template)
-        header = ["k", "template_magnitude", "mse", "stderr", "thm2_prediction", "mse_ratio_thm2"]
-        columns = ["phase_mse", "phase_mse_stderr", "predicted_mse_thm2", "mse_ratio_thm2"]
+        header = [
+            "k", "template_magnitude", "mse", "stderr", "thm2_prediction", "mse_ratio_thm2",
+            "thm1_prediction", "thm1_prediction_stderr",
+        ]
+        columns = [
+            "phase_mse", "phase_mse_stderr", "predicted_mse_thm2", "mse_ratio_thm2",
+            "predicted_mse_thm1", "predicted_mse_thm1_stderr",
+        ]
         rows = [[k, template.magnitudes[k], *rest] for k, *rest in _stats_rows(result, columns)]
     tables = {f"figure{args.figure}.csv": (header, rows)}
     _write_outputs(out_dir, f"figure {args.figure}", config, tables, t0, telemetry)

@@ -10,9 +10,11 @@ not depend on the chunk size, and its first M' observations are those of the
 M'-observation trial.  An M sweep is therefore one walk per trial to the
 largest M that reads the running total at every M on the way, and one C_k
 profile for all of them.  That profile draws keyed blocks of its own seed
-(:func:`_ck_seed`), disjoint from every trial's.  Trials are aggregated in
-index order, and the profile's blocks in block order.  Together these make
-the output identical whether trials ran serially or across a process pool.
+(:func:`_ck_seed`), disjoint from every trial's.  A walk runs the
+profile's blocks and the trials on one process pool, the profile's blocks
+queued first.  Trials are aggregated in index order, and the profile's
+blocks in block order.  Together these make the output identical whether
+the walk ran serially or across a process pool.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError, entries, integral, real, typed
-from .alignment import align_rows, chunk_arrays, chunks, pool_size, run_blocks
+from .alignment import Pool, align_rows, blocks, chunk_arrays, chunks
 from .estimator import EfnEstimate, pearson_correlation
 from .signals import SignalFamilySpec, TemplateSignal, generate_template, polar, wrap_phase
 from .theory import CK_MIN_DRAWS, AlignmentMoments, estimate_ck_profile, predict_magnitude, predict_phase_mse
@@ -154,7 +156,7 @@ class Telemetry:
     trials: int = 0
     observations: int = 0
     ck_draws: int = 0
-    workers: int = 0  # most processes any one walk ran its trials on
+    workers: int = 0  # the largest walk pool: processes for its C_k blocks and trials
 
 
 @dataclass(frozen=True)
@@ -291,24 +293,29 @@ def _ck_seed(master_seed: int) -> np.random.SeedSequence:
 
 
 def _walk(config: ExperimentConfig, workers: Optional[int], telemetry: Optional[Telemetry]) -> list:
-    """Run every trial's walk, then aggregate each checkpoint: one
-    :class:`AggregateStats` per entry of ``config.checkpoints``.
+    """Run every trial's walk and the C_k profile, then aggregate each
+    checkpoint: one :class:`AggregateStats` per entry of ``config.checkpoints``.
 
-    The trials are the blocks of one :func:`~efnlab.alignment.run_blocks`
-    call on up to ``workers`` processes (None: the usable cores), and the
-    C_k profile is estimated once, after them, for all checkpoints.
+    The trials and the profile's blocks share one
+    :class:`~efnlab.alignment.Pool` of up to ``workers`` processes (None:
+    the usable cores).  The profile, estimated once for all checkpoints,
+    queues its blocks first and the trials queue behind them, so a long
+    profile block starts at once and the trials fill the other workers.
     """
     template, ks = _template_of(config)  # rejects a bad template or bin before any trial runs
-    walks = run_blocks(run_trial, [(config, t) for t in range(config.trials)], workers)
-    profile = None
-    if ks.size:  # the C_k profile does not depend on M
-        seed = _ck_seed(config.master_seed)
-        profile = estimate_ck_profile(template, config.ck_trials, seed, ks=ks, workers=workers)
+    seed = _ck_seed(config.master_seed)
+    ck_blocks = len(blocks(config.ck_trials, seed)) if ks.size else 0
+    with Pool(workers, ck_blocks + config.trials) as pool:
+        trials = pool.later(run_trial, [(config, t) for t in range(config.trials)])
+        profile = None
+        if ks.size:  # the C_k profile does not depend on M
+            profile = estimate_ck_profile(template, config.ck_trials, seed, ks=ks, workers=pool)
+        walks = trials()
     if telemetry is not None:
         telemetry.trials += len(walks)
         telemetry.observations += sum(w[-1].observations for w in walks)
         telemetry.ck_draws += profile.trials if profile is not None else 0
-        telemetry.workers = max(telemetry.workers, pool_size(workers, config.trials))
+        telemetry.workers = max(telemetry.workers, pool.size)
     return [
         aggregate_trials(
             dataclasses.replace(config, M=M, sweep=None), [w[i] for w in walks], profile

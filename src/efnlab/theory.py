@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .alignment import align_rows, blocks, chunk_arrays, chunks, run_blocks
+from .alignment import Pool, align_rows, blocks, chunk_arrays, chunks, run_blocks
 from .errors import InvalidArgumentError
 from .signals import TemplateSignal
 
@@ -166,15 +166,17 @@ def _moment_sums(template: TemplateSignal, kset: np.ndarray, seed, draws: int) -
 
 
 def alignment_moments(
-    template: TemplateSignal, trials: int, seed, *, ks: Sequence[int], workers: Optional[int] = None,
+    template: TemplateSignal, trials: int, seed, *, ks: Sequence[int], workers: Optional[int] | Pool = None,
 ) -> AlignmentMoments:
     """Run ``trials`` single-observation alignments of unit noise and collect
     the per-k moments of the residual-phase sine/cosine terms.
 
     The draws are split into keyed blocks (:func:`~efnlab.alignment.blocks`
     of ``seed``, an int or a SeedSequence) that run on up to ``workers``
-    processes.  Within a block the alignment runs through the production
-    kernel, in fixed-size chunks of draws.  Bin k is read from the kernel's
+    processes, or on the :class:`~efnlab.alignment.Pool` ``workers``, ahead
+    of the loop it holds back (a walk's trials).  Within a block the
+    alignment runs through the production kernel, in fixed-size chunks of
+    draws.  Bin k is read from the kernel's
     filtered product d N[k] conj(X[k]) (unitary N and X; the conjugate of
     bin d-k for k > d/2), turned by the shift's root of unity from a table
     and scaled by 1/(d |X[k]|) to N[k] e^{2 pi i k s / d} e^{-i phi_X[k]}:
@@ -215,7 +217,7 @@ def alignment_moments(
 
 
 def estimate_ck_profile(
-    template: TemplateSignal, trials: int, seed, *, ks: Sequence[int], workers: Optional[int] = None,
+    template: TemplateSignal, trials: int, seed, *, ks: Sequence[int], workers: Optional[int] | Pool = None,
 ) -> AlignmentMoments:
     """The unit-noise alignment moments and C_k at several frequencies, from
     at least :data:`CK_MIN_DRAWS` draws.

@@ -1,6 +1,8 @@
 """Alignment: correlation routes, argmax estimation, equivariances, the block runner."""
 
 import os
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -230,21 +232,32 @@ class TestFourierRoute:
 
 
 class _RecordingPool:
-    """A serial stand-in for ProcessPoolExecutor that records how it was made."""
+    """A serial stand-in for ProcessPoolExecutor that records how it was made
+    and the name of each function submitted to it, in submission order."""
 
     made = []
+    submitted = []
 
     def __init__(self, max_workers, mp_context):
         self.made.append((max_workers, mp_context.get_start_method()))
 
-    def __enter__(self):
-        return self
+    def submit(self, fn, *args):
+        self.submitted.append(fn.__name__)
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, cancel_futures=False):
+        pass
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """ProcessPoolExecutor is the :class:`_RecordingPool` stand-in, with empty records."""
+    monkeypatch.setattr(alignment, "ProcessPoolExecutor", _RecordingPool)
+    _RecordingPool.made.clear()
+    _RecordingPool.submitted.clear()
+    return _RecordingPool
 
 
 class TestRunBlocks:
@@ -275,9 +288,72 @@ class TestRunBlocks:
         with pytest.raises(AssertionError, match="pool was started"):
             alignment.run_blocks(pow, [(2, 5), (3, 2)], 2)
 
-    def test_pool_forks(self, monkeypatch):
+    def test_pool_forks(self, recording_pool):
         # forked workers inherit the imported package instead of importing it again
-        monkeypatch.setattr(alignment, "ProcessPoolExecutor", _RecordingPool)
-        _RecordingPool.made.clear()
         assert alignment.run_blocks(pow, [(2, i) for i in range(5)], 3) == [1, 2, 4, 8, 16]
-        assert _RecordingPool.made == [(3, "fork")]
+        assert recording_pool.made == [(3, "fork")]
+
+
+def _walk_config(**kw):
+    base = dict(
+        template=E.SignalFamilySpec(family="power-law-psd", d=64, beta=1.0, phase_seed=1),
+        M=30, trials=5, master_seed=2, frequencies=(1, 7),
+    )
+    return E.ExperimentConfig(**{**base, **kw})
+
+
+class TestSharedPool:
+    """A walk's C_k blocks and trials share one pool, the C_k blocks queued first."""
+
+    def test_a_held_loop_queues_behind_the_next_run(self, recording_pool):
+        with alignment.Pool(2, 5) as pool:
+            held = pool.later(abs, [(-i,) for i in range(3)])
+            assert recording_pool.submitted == []
+            assert alignment.run_blocks(pow, [(2, 3), (3, 2)], pool) == [8, 9]
+            assert recording_pool.submitted == ["pow", "pow", "abs", "abs", "abs"]
+            assert held() == [0, 1, 2]
+        assert recording_pool.made == [(2, "fork")]
+
+    def test_a_held_loop_with_no_run_queues_when_read(self, recording_pool):
+        with alignment.Pool(2, 3) as pool:
+            held = pool.later(abs, [(-i,) for i in range(3)])
+            assert held() == [0, 1, 2]
+        assert recording_pool.submitted == ["abs"] * 3
+
+    def test_in_one_process_a_held_loop_runs_when_read(self, no_pool):
+        ran = []
+        with alignment.Pool(1, 5) as pool:
+            held = pool.later(lambda i: ran.append(i) or i, [(i,) for i in range(3)])
+            alignment.run_blocks(pow, [(2, 3)], pool)
+            assert ran == []
+            assert held() == [0, 1, 2] == ran
+
+    @pytest.mark.parametrize("ck_trials", [4000, 2 * alignment.BLOCK + 7])
+    def test_walk_makes_one_pool_and_queues_the_ck_blocks_first(self, recording_pool, ck_trials):
+        cfg = _walk_config(ck_trials=ck_trials)
+        telemetry = experiment.Telemetry()
+        E.run_experiment(cfg, workers=2, telemetry=telemetry)
+        ck_blocks = len(alignment.blocks(ck_trials, 0))
+        assert recording_pool.made == [(2, "fork")]
+        assert recording_pool.submitted == ["_moment_sums"] * ck_blocks + ["run_trial"] * cfg.trials
+        assert telemetry.workers == 2
+
+    def test_walk_without_bins_submits_trials_only(self, recording_pool):
+        E.run_experiment(_walk_config(frequencies=()), workers=2)
+        assert recording_pool.made == [(2, "fork")]
+        assert recording_pool.submitted == ["run_trial"] * 5
+
+    def test_walk_forks_its_pool_once_with_no_other_thread(self, monkeypatch):
+        # a fork while another thread holds a lock can deadlock the child
+        # (Python 3.12 warns of it): every worker forks before the pool starts a thread
+        fork, threads = os.fork, []
+
+        def recorded_fork():
+            threads.append(threading.active_count())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", recorded_fork)
+        cfg = _walk_config(ck_trials=2 * alignment.BLOCK + 7)
+        telemetry = experiment.Telemetry()
+        E.run_experiment(cfg, workers=2, telemetry=telemetry)
+        assert threads == [1] * telemetry.workers == [1, 1]

@@ -5,8 +5,10 @@ import csv
 import importlib.util
 import json
 import math
+import multiprocessing
 import os
 import platform
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from efnlab import alignment, cli, experiment, verify
+from efnlab import alignment, cli, experiment, theory, verify
 from efnlab.cli import main
 from efnlab.experiment import ExperimentConfig
 from efnlab.signals import SignalFamilySpec, generate_template
@@ -35,6 +37,10 @@ def write_config(path, **overrides):
     doc.update(overrides)
     path.write_text(json.dumps(doc))
     return path
+
+
+def _fail_in_worker(*args):
+    raise RuntimeError(f"a block failed in worker {os.getpid()}")
 
 
 class TestRun:
@@ -184,13 +190,38 @@ class TestRun:
             assert json.loads((out / "manifest.json").read_text())["environment"]["workers"] == threads
         assert (tmp_path / "1" / "stats.csv").read_bytes() == (out / "stats.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"ck_trials": 2 * alignment.BLOCK + 7}, {"sweep": {"axis": "M", "values": [10, 25, 40]}}],
+        ids=["three-ck-blocks", "m-sweep"],
+    )
+    def test_shared_pool_changes_no_output(self, tmp_path, overrides):
+        # the C_k blocks and the trials share one pool, the C_k blocks queued first
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        for threads in (1, min(2, CORES)):
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / str(threads)), "--threads", str(threads)]) == 0
+        for name in ("stats.csv", "summary.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / str(threads) / name).read_bytes()
+
+    @pytest.mark.parametrize("module, name", [(theory, "_moment_sums"), (experiment, "observation_rng")])
+    def test_failing_block_leaves_no_worker(self, tmp_path, capsys, monkeypatch, module, name):
+        # a C_k block or a trial raises in a worker while other blocks are queued
+        monkeypatch.setattr(module, name, _fail_in_worker)
+        monkeypatch.setattr(alignment, "usable_cores", lambda: 2)
+        cfg = write_config(tmp_path / "cfg.json", ck_trials=2 * alignment.BLOCK + 7)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        failed_in = re.search(r"runtime failure: a block failed in worker (\d+)", capsys.readouterr().err)
+        assert int(failed_in.group(1)) != os.getpid()
+        assert multiprocessing.active_children() == []
+
     def test_efn_threads_is_not_read(self, tmp_path, monkeypatch):
         # the worker count is --threads, else the usable cores; the environment has no say
         monkeypatch.setenv("EFN_THREADS", "0")
         cfg = write_config(tmp_path / "cfg.json")
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        assert json.loads((out / "manifest.json").read_text())["environment"]["workers"] == min(CORES, 5)  # 5 trials
+        workers = json.loads((out / "manifest.json").read_text())["environment"]["workers"]
+        assert workers == min(CORES, 6)  # one C_k block and 5 trials
 
     @pytest.mark.parametrize("frequencies", [[], [2]])
     def test_non_alignable_template_is_usage_error(self, tmp_path, capsys, frequencies):
@@ -457,6 +488,20 @@ class TestFigure:
         # one walk per trial to the largest M, one C_k profile for the sweep
         assert manifest["counters"] == {"trials": 2, "observations": 2 * 5000, "ck_draws": 4000}
         assert manifest["environment"]["workers"] == workers
+
+    def test_figure4c_schema(self, tmp_path):
+        # the 1023-bin C_k profile the figure runs gives the fixed-d prediction beside the thm2 rate
+        out = tmp_path / "f4c"
+        assert main(["figure", "4c", "--out", str(out), "--trials", "2", "--threads", "1"]) == 0
+        with (out / "figure4c.csv").open() as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == [
+            "k", "template_magnitude", "mse", "stderr", "thm2_prediction", "mse_ratio_thm2",
+            "thm1_prediction", "thm1_prediction_stderr",
+        ]
+        assert [int(r[0]) for r in rows] == list(range(1, 1024))
+        thm1, thm1_se = (np.array([float(r[i]) for r in rows]) for i in (6, 7))
+        assert np.all(thm1 > 0) and np.all((thm1_se > 0) & (thm1_se < thm1))
 
 
 def bench_flat_config(monkeypatch) -> dict:
