@@ -13,10 +13,11 @@ routes compute the same correlation sequence:
   equals the real-space inner products exactly (no extra constant).
 
 It also sets the package's Monte-Carlo layout: :func:`chunks` bounds each
-loop's memory, :func:`chunk_arrays` allocates a block's arrays once for all
-its chunks, and :func:`run_blocks` runs a loop's keyed blocks on a
-:class:`Pool` of forked processes, its own or one that several loops share
-(a walk's ``C_k`` blocks and trials).
+loop's memory (:data:`BUDGET` doubles, sized for a core's L2 cache),
+:func:`chunk_arrays` allocates a block's arrays once for all its chunks,
+and :func:`run_blocks` runs a loop's keyed blocks on a :class:`Pool` of
+forked processes, its own or one that several loops share (a walk's
+``C_k`` blocks and trials, or every loop of an ``efn verify`` command).
 """
 
 from __future__ import annotations
@@ -35,16 +36,22 @@ from .signals import TemplateSignal, dft, polar
 #: Doubles per row chunk: every Monte-Carlo loop in the package (trials, the
 #: ``C_k`` moments and the verify samplers) draws ``max(1, BUDGET // d)`` rows
 #: at a time, so each process's peak memory is O(BUDGET) whatever the draw
-#: count.  The trials, the ``C_k`` blocks and :func:`correlation_sequence`
-#: hold one block's chunk arrays (see :func:`chunk_arrays`), allocated once
-#: and reused by every chunk, so no chunk faults in fresh pages; the verify
-#: samplers (:func:`~efnlab.theory.sample_cyclostationary` in prop3 and
-#: lemma1, and the gumbel maxima) allocate fresh arrays per chunk.  Chunks
-#: split a block (a trial, or :data:`BLOCK` draws) and are folded in row
-#: order or into integer counts, so no result depends on BUDGET; blocks are
-#: what run on separate processes, and a walk's ``C_k`` blocks and trials
-#: share one :class:`Pool`.
-BUDGET = 1 << 19
+#: count.  At 2^16 doubles (512 KB) a chunk's noise, half-spectrum and
+#: correlation arrays, about 1.5 MB together, fit a core's 2 MB L2 cache
+#: (on the 2-core Xeon these figures were measured on).
+#: The trials, the ``C_k`` blocks and :func:`correlation_sequence` hold one
+#: block's chunk arrays (see :func:`chunk_arrays`), allocated once and reused
+#: by every chunk, so no chunk faults in fresh pages; the verify samplers
+#: (:func:`~efnlab.theory.sample_cyclostationary` in prop3 and lemma1, and
+#: the gumbel maxima) allocate fresh arrays per chunk, which at this size a
+#: warm process takes from memory it freed: about 2 minor page faults per
+#: d = 4096 sampler chunk, against about 2000 at 2^19, and about 29 000 in
+#: the two workers of an ``efn verify all``, against 375 000 at 2^19 with a
+#: pool per loop.  Chunks split a block (a trial, or :data:`BLOCK`
+#: draws) and are folded in row order or into integer counts, so no result
+#: depends on BUDGET; blocks are what run on separate processes, and the
+#: loops of a walk, or of a verify command, share one :class:`Pool`.
+BUDGET = 1 << 16
 
 #: Draws per keyed block of a Monte-Carlo loop other than the trials; a
 #: fixed part of each loop's random layout, unlike BUDGET.
@@ -89,9 +96,10 @@ def pool_size(workers: Optional[int], count: int) -> int:
 
 
 class Pool:
-    """The processes that one block loop, or a walk's loops, run on:
-    :func:`pool_size` ``(workers, count)`` forked workers, or none when that
-    is one, and every block then runs in this process.
+    """The processes that one block loop, or every loop of a walk or a
+    verify command, runs on: :func:`pool_size` ``(workers, count)`` forked
+    workers, or none when that is one, and every block then runs in this
+    process.
 
     The workers fork together at the first block queued, before the executor
     starts a thread.  On close a failed block cancels the blocks still

@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .alignment import (
+    Pool,
     blocks,
     chunks,
     correlation_oracle,
@@ -170,7 +171,7 @@ def ks_statistic(samples) -> float:
 def gumbel_suite(d: int = 4096, replicates: int = 10_000, seed=0) -> list[CheckRow]:
     """Normalized maxima of i.i.d. Gaussians against the standard Gumbel law.
 
-    The maxima come from one stream in this process, not keyed blocks: the
+    The maxima come from one stream, as one job, not keyed blocks: the
     fixed 0.05 bound fails on some seeds at the default count (KS 0.039 to
     0.055 over seeds 0 to 19), so new draws would be a new gamble on it.
     """
@@ -350,7 +351,8 @@ SUITES = {
     "lemma1": lemma1_suite,
 }
 
-#: The suites whose draws run in keyed blocks on up to ``workers`` processes.
+#: The suites whose draws run in keyed blocks on the command's pool; the
+#: others draw from one stream each and run as one job.
 POOLED = ("symmetry", "prop3", "lemma1")
 
 #: Smallest value each suite accepts for its one count override; a suite
@@ -364,13 +366,34 @@ MIN_COUNTS = {
 }
 
 
+def _suite_rows(name: str, kwargs: dict) -> list[CheckRow]:
+    """``SUITES[name](**kwargs)``: a one-stream suite as a job on a pool,
+    which looks the suite up by name where it runs."""
+    return SUITES[name](**kwargs)
+
+
+def _loop_blocks(suite: str, kwargs: dict) -> int:
+    """Keyed blocks in each Monte-Carlo loop of the :data:`POOLED` ``suite``, at its ``draws``."""
+    if "draws" in kwargs:
+        draws = kwargs["draws"]
+    else:
+        import inspect  # here, so that importing efnlab runs no import statement more
+
+        draws = inspect.signature(SUITES[suite]).parameters["draws"].default
+    return len(blocks(draws, 0))
+
+
 def run_suite(name: str, workers: Optional[int] = None, **overrides) -> list[CheckRow]:
     """Run one named suite, or 'all' with each suite taking its own overrides.
 
     Overrides are checked before any suite runs: a named suite rejects one it
     does not take, and every count must reach its suite's minimum.  The
-    :data:`POOLED` suites run on up to ``workers`` processes (None: the
-    usable cores); no row depends on it.
+    command runs on one :class:`~efnlab.alignment.Pool` of up to ``workers``
+    processes (None: the usable cores), at most one per block of its largest
+    loop.  The :data:`POOLED` suites run their blocks on it, and the
+    one-stream suites run on it as one loop of jobs, held until the first
+    pooled loop is queued; a command whose every loop has one block or job
+    runs in this process.  No row depends on the pool.
     """
     if name != "all" and name not in SUITES:
         raise InvalidArgumentError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
@@ -385,11 +408,11 @@ def run_suite(name: str, workers: Optional[int] = None, **overrides) -> list[Che
                 raise InvalidArgumentError(f"{suite} needs --{key} >= {least}, got {given[key]}")
     if given.get("seed", 0) < 0:
         raise InvalidArgumentError(f"{name} needs --seed >= 0, got {given['seed']}")
-    rows = []
-    for suite in names:
-        takes = {*MIN_COUNTS[suite], "seed"}
-        kwargs = {k: v for k, v in given.items() if k in takes}
-        if suite in POOLED:
-            kwargs["workers"] = workers
-        rows.extend(SUITES[suite](**kwargs))
-    return rows
+    kwargs = {suite: {k: v for k, v in given.items() if k in {*MIN_COUNTS[suite], "seed"}} for suite in names}
+    pooled = [suite for suite in names if suite in POOLED]
+    jobs = [suite for suite in names if suite not in POOLED]
+    with Pool(workers, max([len(jobs), *(_loop_blocks(s, kwargs[s]) for s in pooled)])) as pool:
+        held = pool.later(_suite_rows, [(suite, kwargs[suite]) for suite in jobs])
+        rows = {suite: SUITES[suite](**kwargs[suite], workers=pool) for suite in pooled}
+        rows.update(zip(jobs, held()))
+    return [row for suite in names for row in rows[suite]]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import efnlab as E
-from efnlab import alignment, experiment, theory
+from efnlab import alignment, experiment, theory, verify
 from efnlab.errors import LengthMismatchError, RejectedTemplateError
 
 
@@ -64,7 +64,9 @@ class TestCorrelationSequence:
 def align(rows, t):
     """(argmax lags, correlation rows) of ``rows`` (one row or a block) through the production kernel."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    filt, _, spec, corr = alignment.chunk_arrays(t, len(rows))  # one chunk: len(rows) <= BUDGET // d
+    step = max(1, alignment.BUDGET // t.d)
+    assert len(rows) <= step, f"align takes one chunk of at most BUDGET // d = {step} rows, got {len(rows)}"
+    filt, _, spec, corr = alignment.chunk_arrays(t, len(rows))
     return alignment.align_rows(rows, filt, spec, corr), corr
 
 
@@ -357,3 +359,51 @@ class TestSharedPool:
         telemetry = experiment.Telemetry()
         E.run_experiment(cfg, workers=2, telemetry=telemetry)
         assert threads == [1] * telemetry.workers == [1, 1]
+
+
+class TestVerifyPool:
+    """An ``efn verify`` command runs on one pool: the pooled suites' blocks
+    and, under 'all', the one-stream suites as two jobs on it."""
+
+    DRAWS = 2 * alignment.BLOCK + 1  # three blocks per loop
+
+    @pytest.fixture
+    def few_lemma1_draws(self, monkeypatch):
+        # lemma1's floor is lowered so that 'all' runs three blocks per loop, not 25 to 49
+        monkeypatch.setitem(verify.MIN_COUNTS["lemma1"], "draws", 1)
+        monkeypatch.setattr(verify, "LEMMA1_MIN_DRAWS", 1)
+
+    def test_all_makes_one_pool_and_queues_the_jobs_behind_the_first_loop(
+        self, recording_pool, few_lemma1_draws, monkeypatch
+    ):
+        counts = dict(cases=2, draws=self.DRAWS, replicates=100)
+        serial = verify.run_suite("all", 1, **counts)
+        jobs = []  # (suite, submissions made when it ran): the stand-in runs a job as it is submitted
+
+        def noted(suite, fn):
+            def run(**kwargs):
+                jobs.append((suite, len(recording_pool.submitted)))
+                return fn(**kwargs)
+            return run
+
+        for suite in ("alignment", "gumbel"):
+            monkeypatch.setitem(verify.SUITES, suite, noted(suite, verify.SUITES[suite]))
+        assert verify.run_suite("all", 2, **counts) == serial
+        assert recording_pool.made == [(2, "fork")]
+        assert recording_pool.submitted == (
+            ["_moment_sums"] * 3 + ["_suite_rows"] * 2 + ["_moment_sums"] * 6
+            + ["_argmax_counts"] * 6 + ["_joint_counts"] * 9
+        )
+        assert jobs == [("alignment", 4), ("gumbel", 5)]
+
+    def test_prop3_makes_one_pool_for_its_two_cases(self, recording_pool):
+        verify.run_suite("prop3", 2, draws=self.DRAWS)
+        assert recording_pool.made == [(2, "fork")]
+        assert recording_pool.submitted == ["_argmax_counts"] * 6
+
+    @pytest.mark.parametrize(
+        "suite, counts", [("prop3", {"draws": 1}), ("symmetry", {"draws": 2}), ("gumbel", {"replicates": 100})]
+    )
+    def test_a_command_of_one_block_loops_starts_no_pool(self, no_pool, suite, counts):
+        assert verify.run_suite(suite, 2, **counts)
+

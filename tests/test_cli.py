@@ -10,6 +10,7 @@ import os
 import platform
 import re
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -39,7 +40,7 @@ def write_config(path, **overrides):
     return path
 
 
-def _fail_in_worker(*args):
+def _fail_in_worker(*args, **kwargs):
     raise RuntimeError(f"a block failed in worker {os.getpid()}")
 
 
@@ -617,13 +618,17 @@ class TestVerify:
 
         for suite in verify.SUITES:
             monkeypatch.setitem(verify.SUITES, suite, recorder(suite))
-        assert verify.run_suite("all", 3, cases=1, draws=100_000, replicates=100, seed=7) == []
+        # one worker: the recorders run in this process, the one-stream ones as jobs read back
+        assert verify.run_suite("all", 1, cases=1, draws=100_000, replicates=100, seed=7) == []
+        pool = calls["symmetry"].pop("workers")
+        assert isinstance(pool, alignment.Pool) and pool.size == 1
+        assert calls["prop3"].pop("workers") is pool and calls["lemma1"].pop("workers") is pool
         assert calls == {
             "alignment": {"cases": 1, "seed": 7},
-            "symmetry": {"draws": 100_000, "seed": 7, "workers": 3},
+            "symmetry": {"draws": 100_000, "seed": 7},
             "gumbel": {"replicates": 100, "seed": 7},
-            "prop3": {"draws": 100_000, "seed": 7, "workers": 3},
-            "lemma1": {"draws": 100_000, "seed": 7, "workers": 3},
+            "prop3": {"draws": 100_000, "seed": 7},
+            "lemma1": {"draws": 100_000, "seed": 7},
         }
 
     def test_verify_all_is_the_same_on_any_worker_count(self, capsys, monkeypatch):
@@ -638,6 +643,42 @@ class TestVerify:
             runs.append((code, capsys.readouterr().out))
         assert runs[0][1].count("\n") == 33
         assert runs[0] == runs[1]
+
+    SMALL_ALL = ["verify", "all", "--threads", "2", "--draws", str(3 * alignment.BLOCK + 5),
+                 "--cases", "20", "--replicates", "100"]
+
+    @pytest.fixture
+    def small_all(self, monkeypatch):
+        """SMALL_ALL runs on two workers: lemma1's floor is lowered and two cores are usable."""
+        monkeypatch.setitem(verify.MIN_COUNTS["lemma1"], "draws", 1)
+        monkeypatch.setattr(verify, "LEMMA1_MIN_DRAWS", 1)
+        monkeypatch.setattr(cli, "usable_cores", lambda: 2)
+
+    def test_verify_all_forks_its_pool_once_with_no_other_thread(self, capsys, monkeypatch, small_all):
+        # a fork while another thread holds a lock can deadlock the child
+        # (Python 3.12 warns of it): every worker forks before the pool starts a thread
+        fork, threads = os.fork, []
+
+        def recorded_fork():
+            threads.append(threading.active_count())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", recorded_fork)
+        main(self.SMALL_ALL)
+        assert "runtime failure" not in capsys.readouterr().err
+        assert threads == [1, 1]
+
+    @pytest.mark.parametrize("job", [True, False], ids=["gumbel-job", "argmax-block"])
+    def test_failing_job_or_block_leaves_no_worker(self, capsys, monkeypatch, small_all, job):
+        # the held gumbel job, or a prop3 block, raises in a worker
+        if job:
+            monkeypatch.setitem(verify.SUITES, "gumbel", _fail_in_worker)
+        else:
+            monkeypatch.setattr(verify, "_argmax_counts", _fail_in_worker)
+        assert main(self.SMALL_ALL) == 1
+        failed_in = re.search(r"runtime failure: a block failed in worker (\d+)", capsys.readouterr().err)
+        assert int(failed_in.group(1)) != os.getpid()
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_is_usage_error(self, capsys, threads):
