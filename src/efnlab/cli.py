@@ -44,7 +44,7 @@ from .experiment import (
 )
 from .signals import SignalFamilySpec, generate_template
 from .theory import CK_MIN_DRAWS
-from .verify import MIN_COUNTS, SUITES, run_suite
+from .verify import COUNTS, SUITES, run_suite
 
 _FIGURE_IDS = ("2b", "2c", "3", "4b", "4c")
 
@@ -245,9 +245,8 @@ def cmd_figure(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rows = run_suite(
-        args.suite, _threads(args), cases=args.cases, draws=args.draws, replicates=args.replicates, seed=args.seed
-    )
+    counts = {key: getattr(args, key) for key, *_ in COUNTS.values()}
+    rows = run_suite(args.suite, _threads(args), **counts, seed=args.seed)
     ok = True
     for row in rows:
         print(row.format())
@@ -284,9 +283,9 @@ def cmd_gen_template(args) -> int:
 
 
 def _count_help(key: str) -> str:
-    """Help for a verify count flag, naming each suite's minimum from verify.MIN_COUNTS."""
-    least = ", ".join(f"{suite} >= {counts[key]}" for suite, counts in MIN_COUNTS.items() if key in counts)
-    return f"{key} of the suites that take them (default: each suite's own): {least}"
+    """Help for a verify count flag: the default and minimum of each suite that takes it, from verify.COUNTS."""
+    takes = [f"{suite} {count} (>= {least})" for suite, (flag, least, count, _) in COUNTS.items() if flag == key]
+    return f"{key} of the suites that take them (default and minimum): {', '.join(takes)}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,10 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver_p = sub.add_parser("verify", parents=[threads], help="run a verification suite")
     ver_p.add_argument("suite", help=" | ".join([*SUITES, "all"]))
-    ver_p.add_argument("--cases", type=int, help=_count_help("cases"))
-    ver_p.add_argument("--draws", type=int, help=_count_help("draws"))
-    ver_p.add_argument("--replicates", type=int, help=_count_help("replicates"))
-    ver_p.add_argument("--seed", type=int, help="seed of each suite run (default: each suite's own), >= 0")
+    for key in dict.fromkeys(key for key, *_ in COUNTS.values()):
+        ver_p.add_argument(f"--{key}", type=int, help=_count_help(key))
+    seeds = ", ".join(f"{suite} {seed}" for suite, (*_, seed) in COUNTS.items())
+    ver_p.add_argument("--seed", type=int, help=f"seed of each suite run, >= 0 (default: {seeds})")
     ver_p.set_defaults(fn=cmd_verify)
 
     gen_p = sub.add_parser("gen-template", help="write a template signal file")

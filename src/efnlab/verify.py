@@ -82,7 +82,7 @@ def _random_template(d: int, rng) -> TemplateSignal:
     return generate_template(spec)
 
 
-def alignment_suite(cases: int = 1000, d: int = 64, seed=12345) -> list[CheckRow]:
+def alignment_suite(cases: int, seed, d: int = 64) -> list[CheckRow]:
     """Exactness checks: dual correlation routes, argmax equality, transform
     round trips, the shift group law, and shift-phase duality."""
     rng = np.random.default_rng(seed)
@@ -140,7 +140,7 @@ def _symmetry_templates(d: int) -> list[tuple[str, TemplateSignal]]:
     ]
 
 
-def symmetry_suite(draws: int = 100_000, d: int = 64, seed=202, workers: Optional[int] = None) -> list[CheckRow]:
+def symmetry_suite(draws: int, seed, d: int = 64, workers: Optional[int] = None) -> list[CheckRow]:
     """The sine term averages to zero; the cosine term is strictly positive."""
     rows = []
     freqs = [1, 5, 11]
@@ -168,12 +168,13 @@ def ks_statistic(samples) -> float:
     return float(max(upper, lower))
 
 
-def gumbel_suite(d: int = 4096, replicates: int = 10_000, seed=0) -> list[CheckRow]:
+def gumbel_suite(replicates: int, seed, d: int = 4096) -> list[CheckRow]:
     """Normalized maxima of i.i.d. Gaussians against the standard Gumbel law.
 
     The maxima come from one stream, as one job, not keyed blocks: the
-    fixed 0.05 bound fails on some seeds at the default count (KS 0.039 to
-    0.055 over seeds 0 to 19), so new draws would be a new gamble on it.
+    fixed 0.05 bound fails on some seeds at the :data:`COUNTS` default (KS
+    0.039 to 0.055 over seeds 0 to 19), so new draws would be a new gamble
+    on it.
     """
     a_d, b_d = gumbel_constants(d)
     rng = np.random.default_rng(seed)
@@ -236,18 +237,17 @@ def prop3_case(d: int, draws: int, seed, workers: Optional[int] = None) -> tuple
 
 @dataclass(frozen=True)
 class Lemma1Report:
-    """Empirical argmax frequencies of S1 ~ N(+mu, Sigma) vs S2 ~ N(-mu, Sigma).
+    """Paired argmax statistics of S1 ~ N(+mu, Sigma) vs S2 ~ N(-mu, Sigma).
 
     mu[l] = cos(2*pi*k*l/d + phi); Sigma is the conditional covariance built
     from the template at frequency k, normalized so the diagonal is 1.
     diff[l] estimates P[argmax S1 = l] - P[argmax S2 = l], whose sign should
     match sign(mu[l]); conc_sum estimates sum_l cos(2*pi*k*l/d + phi) *
-    diff[l], which should be positive.
+    diff[l], which should be positive.  Each comes with the standard error
+    of its per-draw paired statistic.
     """
 
     mu: np.ndarray
-    freq_pos: np.ndarray
-    freq_neg: np.ndarray
     diff: np.ndarray
     diff_stderr: np.ndarray
     conc_sum: float
@@ -277,7 +277,8 @@ def lemma1_check(
     The draws run in keyed blocks of ``seed`` on up to ``workers``
     processes, and are counted in one integer histogram ``joint[r1, r2]`` of
     the two argmaxes, chunk by chunk, so the report depends on neither the
-    chunk size nor the worker count.
+    chunk size nor the worker count.  The report gives the paired
+    differences and their standard errors (see :class:`Lemma1Report`).
     """
     if trials < LEMMA1_MIN_DRAWS:
         raise InsufficientDataError(f"lemma1_check needs at least {LEMMA1_MIN_DRAWS} draws")
@@ -290,16 +291,12 @@ def lemma1_check(
 
     n = float(trials)
     count1, count2 = joint.sum(axis=1), joint.sum(axis=0)
-    freq1 = count1 / n
-    freq2 = count2 / n
-    diff = freq1 - freq2
+    diff = count1 / n - count2 / n
     var_diff = np.maximum((count1 + count2 - 2 * np.diag(joint)) / n - diff**2, 0.0)
     mean_conc = float((joint * term).sum()) / n
     var_conc = max(float((joint * term**2).sum()) / n - mean_conc**2, 0.0)
     return Lemma1Report(
         mu=mu,
-        freq_pos=freq1,
-        freq_neg=freq2,
         diff=diff,
         diff_stderr=np.sqrt(var_diff / n),
         conc_sum=mean_conc,
@@ -307,7 +304,7 @@ def lemma1_check(
     )
 
 
-def prop3_suite(draws: int = 100_000, seed=31, workers: Optional[int] = None) -> list[CheckRow]:
+def prop3_suite(draws: int, seed, workers: Optional[int] = None) -> list[CheckRow]:
     """Softmax approximation of the argmax functional, normalized by max|f|=1.
 
     ``draws`` counts argmax samples per case, taken in antithetic pairs from
@@ -320,7 +317,7 @@ def prop3_suite(draws: int = 100_000, seed=31, workers: Optional[int] = None) ->
     return rows
 
 
-def lemma1_suite(draws: int = 200_000, seed=100, workers: Optional[int] = None) -> list[CheckRow]:
+def lemma1_suite(draws: int, seed, workers: Optional[int] = None) -> list[CheckRow]:
     """Argmax-probability sign pattern at d=8, k=1 for three phase offsets."""
     d, k = 8, 1
     template = generate_template(SignalFamilySpec(family="delta", d=d))
@@ -355,14 +352,17 @@ SUITES = {
 #: others draw from one stream each and run as one job.
 POOLED = ("symmetry", "prop3", "lemma1")
 
-#: Smallest value each suite accepts for its one count override; a suite
-#: takes that count and ``seed``, and no other override.
-MIN_COUNTS = {
-    "alignment": {"cases": 1},
-    "symmetry": {"draws": 2},
-    "gumbel": {"replicates": KS_MIN_SAMPLES},
-    "prop3": {"draws": 1},
-    "lemma1": {"draws": LEMMA1_MIN_DRAWS},
+#: Each suite's one count and its seed, as (count flag, minimum count,
+#: default count, default seed).  :func:`run_suite` passes every suite its
+#: count and seed from here, checks the overrides against it and sizes the
+#: pool from the :data:`POOLED` suites' counts; the CLI declares its count
+#: flags, and prints their defaults, minimums and seeds, from it.
+COUNTS = {
+    "alignment": ("cases", 1, 1000, 12345),
+    "symmetry": ("draws", 2, 100_000, 202),
+    "gumbel": ("replicates", KS_MIN_SAMPLES, 10_000, 0),
+    "prop3": ("draws", 1, 100_000, 31),
+    "lemma1": ("draws", LEMMA1_MIN_DRAWS, 200_000, 100),
 }
 
 
@@ -372,46 +372,39 @@ def _suite_rows(name: str, kwargs: dict) -> list[CheckRow]:
     return SUITES[name](**kwargs)
 
 
-def _loop_blocks(suite: str, kwargs: dict) -> int:
-    """Keyed blocks in each Monte-Carlo loop of the :data:`POOLED` ``suite``, at its ``draws``."""
-    if "draws" in kwargs:
-        draws = kwargs["draws"]
-    else:
-        import inspect  # here, so that importing efnlab runs no import statement more
-
-        draws = inspect.signature(SUITES[suite]).parameters["draws"].default
-    return len(blocks(draws, 0))
-
-
 def run_suite(name: str, workers: Optional[int] = None, **overrides) -> list[CheckRow]:
-    """Run one named suite, or 'all' with each suite taking its own overrides.
+    """Run one named suite, or 'all', each suite at its count and seed in
+    :data:`COUNTS` unless ``overrides`` give them.
 
-    Overrides are checked before any suite runs: a named suite rejects one it
-    does not take, and every count must reach its suite's minimum.  The
-    command runs on one :class:`~efnlab.alignment.Pool` of up to ``workers``
-    processes (None: the usable cores), at most one per block of its largest
-    loop.  The :data:`POOLED` suites run their blocks on it, and the
-    one-stream suites run on it as one loop of jobs, held until the first
-    pooled loop is queued; a command whose every loop has one block or job
-    runs in this process.  No row depends on the pool.
+    Overrides are checked before any suite runs: one that no suite run takes
+    is rejected (a misspelt one too, under 'all'), and every count must reach
+    its suite's minimum.  The command runs on one
+    :class:`~efnlab.alignment.Pool` of up to ``workers`` processes (None: the
+    usable cores), at most one per block of its largest loop.  The
+    :data:`POOLED` suites run their blocks on it, and the one-stream suites
+    run on it as one loop of jobs, held until the first pooled loop is
+    queued; a command whose every loop has one block or job runs in this
+    process.  No row depends on the pool.
     """
     if name != "all" and name not in SUITES:
         raise InvalidArgumentError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     names = list(SUITES) if name == "all" else [name]
     given = {k: v for k, v in overrides.items() if v is not None}
-    unused = sorted(given.keys() - {*MIN_COUNTS[name], "seed"}) if name != "all" else []
+    unused = sorted(given.keys() - {*(COUNTS[suite][0] for suite in names), "seed"})
     if unused:
         raise InvalidArgumentError(f"{name} takes no --{', --'.join(unused)}")
+    kwargs = {}
     for suite in names:
-        for key, least in MIN_COUNTS[suite].items():
-            if given.get(key, least) < least:
-                raise InvalidArgumentError(f"{suite} needs --{key} >= {least}, got {given[key]}")
+        key, least, count, seed = COUNTS[suite]
+        kwargs[suite] = {key: given.get(key, count), "seed": given.get("seed", seed)}
+        if kwargs[suite][key] < least:
+            raise InvalidArgumentError(f"{suite} needs --{key} >= {least}, got {kwargs[suite][key]}")
     if given.get("seed", 0) < 0:
         raise InvalidArgumentError(f"{name} needs --seed >= 0, got {given['seed']}")
-    kwargs = {suite: {k: v for k, v in given.items() if k in {*MIN_COUNTS[suite], "seed"}} for suite in names}
     pooled = [suite for suite in names if suite in POOLED]
     jobs = [suite for suite in names if suite not in POOLED]
-    with Pool(workers, max([len(jobs), *(_loop_blocks(s, kwargs[s]) for s in pooled)])) as pool:
+    loops = [len(jobs), *(len(blocks(kwargs[s][COUNTS[s][0]], 0)) for s in pooled)]
+    with Pool(workers, max(loops)) as pool:
         held = pool.later(_suite_rows, [(suite, kwargs[suite]) for suite in jobs])
         rows = {suite: SUITES[suite](**kwargs[suite], workers=pool) for suite in pooled}
         rows.update(zip(jobs, held()))

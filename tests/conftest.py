@@ -2,7 +2,7 @@
 
 import pytest
 
-from efnlab import alignment
+from efnlab import alignment, verify
 
 
 class _NoPool:
@@ -14,3 +14,11 @@ class _NoPool:
 def no_pool(monkeypatch):
     """Starting a process pool fails the test: ProcessPoolExecutor is the :class:`_NoPool` stand-in."""
     monkeypatch.setattr(alignment, "ProcessPoolExecutor", _NoPool)
+
+
+@pytest.fixture
+def few_lemma1_draws(monkeypatch):
+    """lemma1 takes any draw count: its floor in :data:`verify.COUNTS` and lemma1_check's are 1."""
+    key, _, count, seed = verify.COUNTS["lemma1"]
+    monkeypatch.setitem(verify.COUNTS, "lemma1", (key, 1, count, seed))
+    monkeypatch.setattr(verify, "LEMMA1_MIN_DRAWS", 1)

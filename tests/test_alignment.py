@@ -367,15 +367,10 @@ class TestVerifyPool:
 
     DRAWS = 2 * alignment.BLOCK + 1  # three blocks per loop
 
-    @pytest.fixture
-    def few_lemma1_draws(self, monkeypatch):
-        # lemma1's floor is lowered so that 'all' runs three blocks per loop, not 25 to 49
-        monkeypatch.setitem(verify.MIN_COUNTS["lemma1"], "draws", 1)
-        monkeypatch.setattr(verify, "LEMMA1_MIN_DRAWS", 1)
-
     def test_all_makes_one_pool_and_queues_the_jobs_behind_the_first_loop(
         self, recording_pool, few_lemma1_draws, monkeypatch
     ):
+        # lemma1's floor is lowered so that 'all' runs three blocks per loop, not 25 to 49
         counts = dict(cases=2, draws=self.DRAWS, replicates=100)
         serial = verify.run_suite("all", 1, **counts)
         jobs = []  # (suite, submissions made when it ran): the stand-in runs a job as it is submitted

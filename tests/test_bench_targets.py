@@ -66,6 +66,11 @@ def test_verify_suites_exist():
     assert {"alignment", "symmetry", "gumbel", "prop3", "lemma1"} <= set(verify.SUITES)
 
 
+def test_verify_suites_and_counts_name_the_same_suites():
+    # the trace wraps SUITES entries, and run_suite passes each its count and seed from COUNTS
+    assert list(verify.SUITES) == list(verify.COUNTS)
+
+
 def _install_spans(monkeypatch):
     """The spans module and a recorder whose wrappers it installed, with no target missing."""
     spans = _load_spans()

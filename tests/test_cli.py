@@ -19,6 +19,7 @@ import pytest
 
 from efnlab import alignment, cli, experiment, theory, verify
 from efnlab.cli import main
+from efnlab.errors import InvalidArgumentError
 from efnlab.experiment import ExperimentConfig
 from efnlab.signals import SignalFamilySpec, generate_template
 
@@ -553,15 +554,16 @@ class TestVerify:
         assert exc.value.code == 0
         assert " | ".join([*verify.SUITES, "all"]) in " ".join(capsys.readouterr().out.split())
 
-    def test_help_names_every_count_minimum(self, capsys):
+    def test_help_gives_each_suite_default_minimum_and_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--help"])
         assert exc.value.code == 0
         text = " ".join(capsys.readouterr().out.split())
-        for suite, counts in verify.MIN_COUNTS.items():
-            for key, least in counts.items():
-                flag_help = text.rsplit(f"--{key} {key.upper()}", 1)[1].split(" --", 1)[0]
-                assert f"{suite} >= {least}" in flag_help
+        seed_help = text.rsplit("--seed SEED", 1)[1]
+        for suite, (key, least, count, seed) in verify.COUNTS.items():
+            flag_help = text.rsplit(f"--{key} {key.upper()}", 1)[1].split(" --", 1)[0]
+            assert f"{suite} {count} (>= {least})" in flag_help
+            assert f"{suite} {seed}" in seed_help
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["verify", "bogus"]) == 2
@@ -598,7 +600,7 @@ class TestVerify:
     def test_non_finite_measurement_is_no_pass(self, capsys, monkeypatch):
         # one draw gives zero stderrs, so every symmetry z is infinite; the
         # suite's floor of 2 draws is lowered to reach those rows
-        monkeypatch.setitem(verify.MIN_COUNTS["symmetry"], "draws", 1)
+        monkeypatch.setitem(verify.COUNTS, "symmetry", ("draws", 1, *verify.COUNTS["symmetry"][2:]))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["verify", "symmetry", "--draws", "1"]) == 1
@@ -607,7 +609,9 @@ class TestVerify:
         assert "RuntimeWarning" not in captured.err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
-    def test_each_suite_takes_its_count_and_seed(self, monkeypatch):
+    @pytest.fixture
+    def recorders(self, monkeypatch):
+        """Every suite is a ``**kwargs`` stand-in, with no count or seed default; returns what each was passed."""
         calls = {}
 
         def recorder(suite):
@@ -618,6 +622,10 @@ class TestVerify:
 
         for suite in verify.SUITES:
             monkeypatch.setitem(verify.SUITES, suite, recorder(suite))
+        return calls
+
+    def test_each_suite_takes_its_count_and_seed(self, recorders):
+        calls = recorders
         # one worker: the recorders run in this process, the one-stream ones as jobs read back
         assert verify.run_suite("all", 1, cases=1, draws=100_000, replicates=100, seed=7) == []
         pool = calls["symmetry"].pop("workers")
@@ -631,11 +639,35 @@ class TestVerify:
             "lemma1": {"draws": 100_000, "seed": 7},
         }
 
-    def test_verify_all_is_the_same_on_any_worker_count(self, capsys, monkeypatch):
+    def test_each_suite_defaults_to_its_table_count_and_seed(self, recorders, monkeypatch):
+        counts = []  # the block count of each pool made: its largest loop's
+
+        class CountedPool(alignment.Pool):
+            def __init__(self, workers, count):
+                counts.append(count)
+                super().__init__(workers, count)
+
+        monkeypatch.setattr(verify, "Pool", CountedPool)
+        assert verify.run_suite("all", 1) == []
+        for suite in verify.POOLED:
+            recorders[suite].pop("workers")
+        assert recorders == {
+            "alignment": {"cases": 1000, "seed": 12345},
+            "symmetry": {"draws": 100_000, "seed": 202},
+            "gumbel": {"replicates": 10_000, "seed": 0},
+            "prop3": {"draws": 100_000, "seed": 31},
+            "lemma1": {"draws": 200_000, "seed": 100},
+        }
+        assert counts == [len(alignment.blocks(200_000, 0))]  # lemma1's blocks
+
+    def test_misspelt_override_under_all_is_rejected_before_any_suite_runs(self, recorders):
+        with pytest.raises(InvalidArgumentError, match="all takes no --dras"):
+            verify.run_suite("all", 1, dras=5)
+        assert recorders == {}
+
+    def test_verify_all_is_the_same_on_any_worker_count(self, capsys, few_lemma1_draws):
         # lemma1's floor is lowered so that each pooled suite runs four blocks, not 25 to 49
         draws = str(3 * alignment.BLOCK + 5)
-        monkeypatch.setitem(verify.MIN_COUNTS["lemma1"], "draws", 1)
-        monkeypatch.setattr(verify, "LEMMA1_MIN_DRAWS", 1)
         runs = []
         for threads in ("1", str(CORES)):
             argv = ["verify", "all", "--threads", threads, "--draws", draws, "--cases", "20", "--replicates", "100"]
@@ -648,10 +680,8 @@ class TestVerify:
                  "--cases", "20", "--replicates", "100"]
 
     @pytest.fixture
-    def small_all(self, monkeypatch):
+    def small_all(self, monkeypatch, few_lemma1_draws):
         """SMALL_ALL runs on two workers: lemma1's floor is lowered and two cores are usable."""
-        monkeypatch.setitem(verify.MIN_COUNTS["lemma1"], "draws", 1)
-        monkeypatch.setattr(verify, "LEMMA1_MIN_DRAWS", 1)
         monkeypatch.setattr(cli, "usable_cores", lambda: 2)
 
     def test_verify_all_forks_its_pool_once_with_no_other_thread(self, capsys, monkeypatch, small_all):
