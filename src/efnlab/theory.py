@@ -2,11 +2,11 @@
 
 Conditioning the correlation sequence on one Fourier coefficient of the noise
 gives a Gaussian vector with a cosine mean and a circulant covariance.  This
-module builds its zero-mean part as the filter that samples it, estimates the
-phase-convergence constant by Monte-Carlo, evaluates the closed-form
-high-dimensional rates, and exposes the extreme-value helpers (Gumbel
-normalizing constants, the softmax approximation of argmax functionals) used
-to cross-validate them.
+module samples its zero-mean part, scaled to unit variance, by a half-spectrum
+filter, estimates the phase-convergence constant by Monte-Carlo, evaluates the
+closed-form high-dimensional rates, and exposes the extreme-value helpers
+(Gumbel normalizing constants, the softmax approximation of argmax
+functionals) used to cross-validate them.
 """
 
 from __future__ import annotations
@@ -31,32 +31,25 @@ CK_MIN_DRAWS = 1000
 
 def build_conditional_gaussian(template: TemplateSignal, k: int) -> np.ndarray:
     """The zero-mean part of the correlation sequence's law given one noise
-    Fourier coefficient N[k], as its read-only half-spectrum filter h.
+    Fourier coefficient N[k], scaled to unit variance, as its read-only
+    half-spectrum filter h.
 
-    The law's covariance is circulant with Fourier weights lambda: bins 0 and
-    d/2 weigh |X|^2, every other bin 2 |X|^2, the conditioned pair (k, d-k)
-    is zeroed, and the weights are scaled to sum to 1, so the diagonal is 1.
-    Then h[l] = sqrt(d (lambda_l + lambda_{d-l}) / 2) for l = 0 .. d/2, and
-    h^2 are the covariance's eigenvalues (template spectra are symmetric only
-    to rounding, so the pair is averaged).  The law's cosine mean,
-    2 |X[k]| |N[k]| cos(2*pi*k*r/d + phi_N - phi_X[k]), belongs to the caller.
+    The law of c_r = <n, T_r x> for white n given N[k] is A (I - P_k) A^T,
+    where row r of A is the template shifted by r and P_k projects onto the
+    cosine and sine at k.  It is circulant, with weight w_l = |X[l]|^2 at
+    every bin l but the conditioned pair (k, d-k), where w is 0; scaled to a
+    unit diagonal, h^2 = d w / sum(w) at bins 0 .. d/2.  The law's cosine
+    mean, 2 |X[k]| |N[k]| cos(2*pi*k*r/d + phi_N - phi_X[k]), is the caller's.
     """
     d = template.d
     if not (0 <= k <= d - 1):
         raise InvalidArgumentError(f"frequency index {k} out of range for d={d}")
     w = template.magnitudes**2
-    t = 2.0 * w
-    t[0] = w[0]
-    t[d // 2] = w[d // 2]
-    t[k] = 0.0
-    t[(d - k) % d] = 0.0
-    total = t.sum()
+    w[[k, (d - k) % d]] = 0.0
+    total = w.sum()
     if total <= 0.0:
         raise InvalidArgumentError("covariance weights vanish; template has no usable spectrum")
-    scale = 1.0 / total
-    lam = scale * t
-    half = np.arange(d // 2 + 1)
-    h = np.sqrt(0.5 * d * (lam[half] + lam[(d - half) % d]))
+    h = np.sqrt(d / total * w[: d // 2 + 1])
     h.flags.writeable = False
     return h
 
@@ -64,16 +57,19 @@ def build_conditional_gaussian(template: TemplateSignal, k: int) -> np.ndarray:
 def sample_cyclostationary(cg: np.ndarray, rng, size: int) -> np.ndarray:
     """Draw ``size`` rows of the zero-mean law whose half-spectrum filter is ``cg``.
 
-    Returns a (size, d) array, d = 2 (len(cg) - 1).  Each row is
-    irfft(rfft(w) * cg) for a white row w of d standard normals: a circulant
-    filter, so the rows' covariance has eigenvalues cg^2.  Row i takes
-    normals d*i .. d*(i+1)-1 of the stream, so consecutive calls give the
-    rows of one larger call, bit for bit.
+    Returns a (size, d) array, d = 2 (len(cg) - 1).  Each row is irfft(W cg)
+    for W the rfft of d white normals, drawn directly from d normals: 0 and 1
+    are its real DC and Nyquist bins (variance d), 2j and 2j+1 bin j's real
+    and imaginary parts (variance d/2 each).  Row i takes normals d*i ..
+    d*(i+1)-1 of the stream, so consecutive calls give one larger call, bit
+    for bit.
     """
     d = 2 * (cg.size - 1)
-    rng = np.random.default_rng(rng)
-    spec = np.fft.rfft(rng.standard_normal((int(size), d)), axis=1)
-    spec *= cg
+    x = np.random.default_rng(rng).standard_normal((int(size), d))
+    spec = np.empty((x.shape[0], cg.size), complex)
+    spec[:, 0], spec[:, -1] = x[:, 0], x[:, 1]
+    np.multiply(x[:, 2:].view(complex), math.sqrt(0.5), out=spec[:, 1:-1])
+    spec *= math.sqrt(d) * cg
     return np.fft.irfft(spec, d, axis=1)
 
 

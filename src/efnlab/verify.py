@@ -85,6 +85,8 @@ def _random_template(d: int, rng) -> TemplateSignal:
 def alignment_suite(cases: int, seed, d: int = 64) -> list[CheckRow]:
     """Exactness checks: dual correlation routes, argmax equality, transform
     round trips, the shift group law, and shift-phase duality."""
+    if cases < 1:
+        raise InvalidArgumentError("alignment_suite needs at least 1 case")
     rng = np.random.default_rng(seed)
     worst_rel = 0.0
     agree = 0
@@ -224,6 +226,8 @@ def prop3_case(d: int, draws: int, seed, workers: Optional[int] = None) -> tuple
     processes; their argmax counts are integers, so the result does not
     depend on the worker count.
     """
+    if draws < 1:
+        raise InvalidArgumentError("prop3_case needs at least 1 draw")
     spec = SignalFamilySpec(family="power-law-psd", d=d, beta=0.0, phase_seed=0)
     template = generate_template(spec)
     cg = build_conditional_gaussian(template, PROP3_K)

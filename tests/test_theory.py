@@ -37,15 +37,18 @@ class FixedNormals(np.random.Generator):
 
 
 def covariance(template, k):
-    """Dense covariance of the law at frequency k, built from the template's
-    magnitudes: the reference for the builder's filter and the sampler."""
+    """The law's covariance from its definition, the reference for the
+    builder's filter and the sampler: A (I - P_k) A^T, where row r of A is
+    the template shifted by r and P_k projects onto the cosine and sine at
+    k, scaled to a unit diagonal."""
     d = template.d
-    lam = 2.0 * template.magnitudes**2
-    lam[[0, d // 2]] /= 2.0
-    lam[[k, (d - k) % d]] = 0.0
-    first = (d * np.fft.ifft(lam / lam.sum())).real
-    i = np.arange(d)
-    return first[(i[:, None] - i[None, :]) % d]
+    A = np.stack([np.roll(template.samples, r) for r in range(d)])
+    angle = 2.0 * np.pi * k * np.arange(d) / d
+    # at k = 0 and d/2 the sine vanishes and P_k projects onto the cosine alone
+    P = sum(np.outer(v, v) / (v @ v) for v in (np.cos(angle), np.sin(angle)) if v @ v > 1e-9)
+    C = A @ (np.eye(d) - P) @ A.T
+    s = np.sqrt(np.diag(C))
+    return C / np.outer(s, s)
 
 
 def sample_from(h, w):
@@ -65,9 +68,8 @@ class TestConditionalGaussian:
         d, k = 16, 3
         h = E.build_conditional_gaussian(delta(d), k)
         assert h.shape == (d // 2 + 1,) and h[k] == 0.0
-        generic = np.delete(h, [0, d // 2, k])
-        assert np.ptp(generic) <= 1e-15  # all generic bins carry equal weight
-        assert h[0] == h[d // 2] == pytest.approx(generic[0] / math.sqrt(2.0), abs=1e-15)
+        others = np.delete(h, k)
+        assert np.ptp(others) <= 1e-15  # every other bin, 0 and d/2 included, carries equal weight
         # the conditioned pair (k, d-k) is the Gram matrix's null space
         waves = np.exp(2j * np.pi * k * np.arange(d) / d)
         np.testing.assert_allclose(gram(h) @ waves, 0.0, rtol=0, atol=1e-12)
@@ -92,28 +94,28 @@ class TestConditionalGaussian:
         np.testing.assert_allclose(np.diag(covariance(t, 2)), 1.0, rtol=0, atol=1e-12)
 
     def test_sigma2_approaches_half_for_flat_family(self):
-        # the normalizer, read off a bin outside {0, d/2, k}: h_j^2 = 2 d |X[j]|^2 / sum
+        # the normalizer, read off a bin outside the pair k: h_j^2 = d |X[j]|^2 / sum_l |X[l]|^2
         for d in (64, 256, 1024):
             t = flat(d)
             h = E.build_conditional_gaussian(t, 3)
             assert abs(h[1] ** 2 / (2.0 * d * t.magnitudes[1] ** 2) - 0.5) <= 2.0 / d
 
-    @pytest.mark.parametrize("k", [0, 3, 8, 13])
-    def test_filter_is_the_weights_formula_bit_for_bit(self, k):
-        # the weights and the filter in the order the sampler has always used
-        t = beta_one(16)
-        d = t.d
-        w = t.magnitudes**2
-        lam = 2.0 * w
-        lam[0] = w[0]
-        lam[d // 2] = w[d // 2]
-        lam[k] = 0.0
-        lam[(d - k) % d] = 0.0
-        lam = (1.0 / lam.sum()) * lam
-        half = np.arange(d // 2 + 1)
-        h = E.build_conditional_gaussian(t, k)
-        np.testing.assert_array_equal(h, np.sqrt(0.5 * d * (lam[half] + lam[(d - half) % d])))
+    @pytest.mark.parametrize(
+        "family, k",
+        [("delta", k) for k in (0, 3, 7, 8)] + [("flat", k) for k in (3, 7, 8)] + [("beta1-dc", k) for k in (0, 3, 7, 8)],
+    )
+    def test_filter_gram_is_the_exact_law(self, family, k):
+        # flat is zero-DC, so its bin 0 is not conditioned on
+        template = {
+            "delta": delta(16),
+            "flat": flat(16),
+            "beta1-dc": E.generate_template(
+                E.SignalFamilySpec(family="power-law-psd", d=16, beta=1.0, zero_dc=False)
+            ),
+        }[family]
+        h = E.build_conditional_gaussian(template, k)
         assert h.dtype == float and not h.flags.writeable
+        np.testing.assert_allclose(gram(h), covariance(template, k), rtol=0, atol=1e-12)
 
     def test_invalid_k(self):
         with pytest.raises(InvalidArgumentError):
@@ -457,6 +459,19 @@ class TestVerifyMonteCarlo:
                 got = as_bytes(run(workers))
                 want = want or got
                 assert got == want, (budget, workers)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: verify.alignment_suite(0, 1),
+            lambda: verify.prop3_case(64, 0, 1),
+            lambda: verify.prop3_suite(0, 1),
+        ],
+        ids=["alignment_suite", "prop3_case", "prop3_suite"],
+    )
+    def test_count_below_one_rejected(self, run):
+        with pytest.raises(InvalidArgumentError):
+            run()
 
     def test_gumbel_matches_single_block(self, monkeypatch):
         d, n, seed = 64, 5000, 3
