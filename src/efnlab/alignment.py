@@ -16,8 +16,9 @@ It also sets the package's Monte-Carlo layout: :func:`chunks` bounds each
 loop's memory (:data:`BUDGET` doubles, sized for a core's L2 cache),
 :func:`chunk_arrays` allocates a block's arrays once for all its chunks,
 and :func:`run_blocks` runs a loop's keyed blocks on a :class:`Pool` of
-forked processes, its own or one that several loops share (a walk's
-``C_k`` blocks and trials, or every loop of an ``efn verify`` command).
+forked processes, its own or the one that every loop of an ``efn``
+command shares (each walk's ``C_k`` blocks and trials, or a verify
+command's suites).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import LengthMismatchError
+from .errors import InvalidArgumentError, LengthMismatchError
 from .signals import TemplateSignal, dft, polar
 
 #: Doubles per row chunk: every Monte-Carlo loop in the package (trials, the
@@ -50,7 +51,7 @@ from .signals import TemplateSignal, dft, polar
 #: pool per loop.  Chunks split a block (a trial, or :data:`BLOCK`
 #: draws) and are folded in row order or into integer counts, so no result
 #: depends on BUDGET; blocks are what run on separate processes, and the
-#: loops of a walk, or of a verify command, share one :class:`Pool`.
+#: loops of an ``efn`` command share one :class:`Pool`.
 BUDGET = 1 << 16
 
 #: Draws per keyed block of a Monte-Carlo loop other than the trials; a
@@ -90,16 +91,18 @@ def usable_cores() -> int:
 
 def pool_size(workers: Optional[int], count: int) -> int:
     """Processes that a :class:`Pool` runs ``count`` blocks on: ``workers``
-    (None: the usable cores), and at most one per block."""
+    (None: the usable cores; below 1 raises InvalidArgumentError), and at most one per block."""
+    if workers is not None and workers < 1:
+        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
     cores = usable_cores() if workers is None else workers
     return max(1, min(cores, count))
 
 
 class Pool:
-    """The processes that one block loop, or every loop of a walk or a
-    verify command, runs on: :func:`pool_size` ``(workers, count)`` forked
-    workers, or none when that is one, and every block then runs in this
-    process.
+    """The processes that one block loop, or every loop of an ``efn``
+    command, runs on: :func:`pool_size` ``(workers, count)`` forked workers,
+    where ``count`` is the most blocks one loop queues, or none when that is
+    one, and every block then runs in this process.
 
     The workers fork together at the first block queued, before the executor
     starts a thread.  On close a failed block cancels the blocks still

@@ -10,11 +10,11 @@ not depend on the chunk size, and its first M' observations are those of the
 M'-observation trial.  An M sweep is therefore one walk per trial to the
 largest M that reads the running total at every M on the way, and one C_k
 profile for all of them.  That profile draws keyed blocks of its own seed
-(:func:`_ck_seed`), disjoint from every trial's.  A walk runs the
-profile's blocks and the trials on one process pool, the profile's blocks
-queued first.  Trials are aggregated in index order, and the profile's
-blocks in block order.  Together these make the output identical whether
-the walk ran serially or across a process pool.
+(:func:`_ck_seed`), disjoint from every trial's.  Every walk of a command
+runs on one process pool, its profile's blocks queued before its trials.
+Trials are aggregated in index order, and the profile's blocks in block
+order.  Together these make the output identical whether the walks ran
+serially or across a process pool.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ class Telemetry:
     trials: int = 0
     observations: int = 0
     ck_draws: int = 0
-    workers: int = 0  # the largest walk pool: processes for its C_k blocks and trials
+    workers: int = 0  # the command's pool: processes for its C_k blocks and trials
 
 
 @dataclass(frozen=True)
@@ -292,34 +292,29 @@ def _ck_seed(master_seed: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master_seed, spawn_key=(_CK_SEED_LANE, 1))
 
 
-def _walk(config: ExperimentConfig, workers: Optional[int], telemetry: Optional[Telemetry]) -> list:
-    """Run every trial's walk and the C_k profile, then aggregate each
+def _walk(
+    config: ExperimentConfig, template: TemplateSignal, ks: np.ndarray, pool: Pool, telemetry: Optional[Telemetry]
+) -> list:
+    """Run every trial's walk and the C_k profile of ``config``, whose
+    :func:`_template_of` is ``template, ks``, on ``pool``; then aggregate each
     checkpoint: one :class:`AggregateStats` per entry of ``config.checkpoints``.
 
-    The trials and the profile's blocks share one
-    :class:`~efnlab.alignment.Pool` of up to ``workers`` processes (None:
-    the usable cores).  The profile, estimated once for all checkpoints,
-    queues its blocks first and the trials queue behind them, so a long
-    profile block starts at once and the trials fill the other workers.
+    The profile, estimated once for all checkpoints, queues its blocks first
+    and the trials queue behind them, so a long profile block starts at once
+    and the trials fill the other workers.
     """
-    template, ks = _template_of(config)  # rejects a bad template or bin before any trial runs
-    seed = _ck_seed(config.master_seed)
-    ck_blocks = len(blocks(config.ck_trials, seed)) if ks.size else 0
-    with Pool(workers, ck_blocks + config.trials) as pool:
-        trials = pool.later(run_trial, [(config, t) for t in range(config.trials)])
-        profile = None
-        if ks.size:  # the C_k profile does not depend on M
-            profile = estimate_ck_profile(template, config.ck_trials, seed, ks=ks, workers=pool)
-        walks = trials()
+    trials = pool.later(run_trial, [(config, t) for t in range(config.trials)])
+    profile = None
+    if ks.size:  # the C_k profile does not depend on M
+        profile = estimate_ck_profile(template, config.ck_trials, _ck_seed(config.master_seed), ks=ks, workers=pool)
+    walks = trials()
     if telemetry is not None:
         telemetry.trials += len(walks)
         telemetry.observations += sum(w[-1].observations for w in walks)
         telemetry.ck_draws += profile.trials if profile is not None else 0
-        telemetry.workers = max(telemetry.workers, pool.size)
+        telemetry.workers = pool.size
     return [
-        aggregate_trials(
-            dataclasses.replace(config, M=M, sweep=None), [w[i] for w in walks], profile
-        )
+        aggregate_trials(dataclasses.replace(config, M=M, sweep=None), [w[i] for w in walks], profile)
         for i, M in enumerate(config.checkpoints)
     ]
 
@@ -327,14 +322,14 @@ def _walk(config: ExperimentConfig, workers: Optional[int], telemetry: Optional[
 def run_experiment(
     config: ExperimentConfig, workers: Optional[int] = None, telemetry: Optional[Telemetry] = None
 ) -> AggregateStats:
-    """Run all trials on up to ``workers`` processes (None: the usable cores)
-    and aggregate: the one-checkpoint walk.  A sweep config runs as its last
-    value's config (an M sweep at its largest M).
+    """The sweep of one M value, ``config.M``: all trials on up to ``workers``
+    processes (None: the usable cores), aggregated.  A sweep config runs as
+    its last value's config (an M sweep at its largest M).
 
     The aggregate is identical for any worker count: trials are keyed by
     index, not by completion order.
     """
-    return _walk(dataclasses.replace(config, sweep=None), workers, telemetry)[0]
+    return run_sweep(dataclasses.replace(config, sweep=SweepSpec("M", (config.M,))), workers, telemetry)[0][1]
 
 
 def sweep_configs(config: ExperimentConfig) -> list[tuple]:
@@ -356,14 +351,19 @@ def sweep_configs(config: ExperimentConfig) -> list[tuple]:
 def run_sweep(
     config: ExperimentConfig, workers: Optional[int] = None, telemetry: Optional[Telemetry] = None
 ) -> list[tuple]:
-    """(value, stats) for each sweep value.
+    """(value, stats) for each sweep value: the one route to the walk.
 
-    An M sweep is one walk of ``config`` as given, to its M (the largest
-    value), read at every value; each other axis runs one experiment per value.
+    Every value's template and bins are checked before any trial runs.  An
+    M sweep is then one walk of ``config`` as given, to its M (the largest
+    value), read at every value; each other axis runs one walk per value.
+    The walks share one :class:`~efnlab.alignment.Pool` of up to ``workers``
+    processes (None: the usable cores), at most one per C_k block and trial
+    of a value, so the command forks once.
     """
-    if config.sweep.axis == "M":
-        return list(zip(config.sweep.values, _walk(config, workers, telemetry)))
     pairs = sweep_configs(config)
-    for _, c in pairs:  # every value's template and bins, before any trial runs
-        _template_of(c)
-    return [(v, run_experiment(c, workers, telemetry)) for v, c in pairs]
+    walks = [config] if config.sweep.axis == "M" else [c for _, c in pairs]
+    checked = [_template_of(c) for c in walks]  # every value's template and bins, before any trial runs
+    ck_blocks = len(blocks(config.ck_trials, _ck_seed(config.master_seed))) if config.frequencies else 0
+    with Pool(workers, ck_blocks + config.trials) as pool:
+        stats = [s for c, (template, ks) in zip(walks, checked) for s in _walk(c, template, ks, pool, telemetry)]
+    return list(zip(config.sweep.values, stats))

@@ -178,6 +178,8 @@ def gumbel_suite(replicates: int, seed, d: int = 4096) -> list[CheckRow]:
     0.039 to 0.055 over seeds 0 to 19), so new draws would be a new gamble
     on it.
     """
+    if replicates < 1:
+        raise InvalidArgumentError("gumbel_suite needs at least 1 replicate")
     a_d, b_d = gumbel_constants(d)
     rng = np.random.default_rng(seed)
     maxima = np.concatenate(

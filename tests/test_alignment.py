@@ -1,5 +1,6 @@
 """Alignment: correlation routes, argmax estimation, equivariances, the block runner."""
 
+import json
 import os
 import threading
 from concurrent.futures import Future
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 import efnlab as E
-from efnlab import alignment, experiment, theory, verify
-from efnlab.errors import LengthMismatchError, RejectedTemplateError
+from efnlab import alignment, cli, experiment, theory, verify
+from efnlab.errors import InvalidArgumentError, LengthMismatchError, RejectedTemplateError
 
 
 def plaw(d, beta=1.0, seed=1, zero_dc=False):
@@ -290,6 +291,22 @@ class TestRunBlocks:
         with pytest.raises(AssertionError, match="pool was started"):
             alignment.run_blocks(pow, [(2, 5), (3, 2)], 2)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda w: E.run_experiment(_walk_config(), workers=w),
+            lambda w: verify.run_suite("alignment", w, cases=2),
+            lambda w: E.alignment_moments(plaw(16), 10, 0, ks=[1], workers=w),
+            lambda w: alignment.pool_size(w, 5),
+        ],
+        ids=["run_experiment", "run_suite", "alignment_moments", "pool_size"],
+    )
+    def test_workers_below_one_rejected(self, no_pool, run, workers):
+        # None means the usable cores; a count below one is an error, not one process
+        with pytest.raises(InvalidArgumentError, match="workers must be >= 1"):
+            run(workers)
+
     def test_pool_forks(self, recording_pool):
         # forked workers inherit the imported package instead of importing it again
         assert alignment.run_blocks(pow, [(2, i) for i in range(5)], 3) == [1, 2, 4, 8, 16]
@@ -359,6 +376,30 @@ class TestSharedPool:
         telemetry = experiment.Telemetry()
         E.run_experiment(cfg, workers=2, telemetry=telemetry)
         assert threads == [1] * telemetry.workers == [1, 1]
+
+    def test_d_sweep_makes_one_pool_and_runs_its_values_in_turn(self, recording_pool):
+        cfg = _walk_config(sweep=E.SweepSpec("d", (64, 128)))
+        telemetry = experiment.Telemetry()
+        E.run_sweep(cfg, workers=2, telemetry=telemetry)
+        value = ["_moment_sums"] * len(alignment.blocks(cfg.ck_trials, 0)) + ["run_trial"] * cfg.trials
+        assert recording_pool.made == [(2, "fork")]
+        assert recording_pool.submitted == value * 2
+        assert telemetry.workers == 2
+
+    def test_figure_3_forks_one_pool_for_its_three_walks(self, monkeypatch, tmp_path):
+        # a beta sweep: three walks, each on the command's one pool
+        fork, threads = os.fork, []
+
+        def recorded_fork():
+            threads.append(threading.active_count())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", recorded_fork)
+        monkeypatch.setattr(cli, "usable_cores", lambda: 2)
+        out = tmp_path / "fig3"
+        assert cli.main(["figure", "3", "--trials", "4", "--threads", "2", "--out", str(out)]) == 0
+        workers = json.loads((out / "manifest.json").read_text())["environment"]["workers"]
+        assert threads == [1] * workers == [1, 1]
 
 
 class TestVerifyPool:

@@ -417,6 +417,10 @@ class TestSweeps:
         for column in cli.STATS_COLUMNS:
             np.testing.assert_array_equal(getattr(stats, column), getattr(solo, column))
 
+    def test_run_sweep_without_a_sweep_is_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="no sweep"):
+            E.run_sweep(small_config())
+
     def test_every_sweep_value_is_checked_before_any_trial(self, monkeypatch):
         # at beta = 100 the d=16 spectrum falls below the non-vanishing floor
         ran, run_trial = [], experiment.run_trial

@@ -466,8 +466,9 @@ class TestVerifyMonteCarlo:
             lambda: verify.alignment_suite(0, 1),
             lambda: verify.prop3_case(64, 0, 1),
             lambda: verify.prop3_suite(0, 1),
+            lambda: verify.gumbel_suite(0, 1),
         ],
-        ids=["alignment_suite", "prop3_case", "prop3_suite"],
+        ids=["alignment_suite", "prop3_case", "prop3_suite", "gumbel_suite"],
     )
     def test_count_below_one_rejected(self, run):
         with pytest.raises(InvalidArgumentError):
