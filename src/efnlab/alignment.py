@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError, LengthMismatchError
+from .errors import LengthMismatchError, integral
 from .signals import TemplateSignal, dft, polar
 
 #: Doubles per row chunk: every Monte-Carlo loop in the package (trials, the
@@ -91,10 +91,9 @@ def usable_cores() -> int:
 
 def pool_size(workers: Optional[int], count: int) -> int:
     """Processes that a :class:`Pool` runs ``count`` blocks on: ``workers``
-    (None: the usable cores; below 1 raises InvalidArgumentError), and at most one per block."""
-    if workers is not None and workers < 1:
-        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
-    cores = usable_cores() if workers is None else workers
+    (None: the usable cores; else a whole number >= 1, or InvalidArgumentError),
+    and at most one per block."""
+    cores = usable_cores() if workers is None else integral("workers", workers, 1)
     return max(1, min(cores, count))
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .alignment import usable_cores
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, integral
 from .experiment import (
     AggregateStats,
     ExperimentConfig,
@@ -95,11 +95,9 @@ def _summary(stats: AggregateStats) -> dict:
 
 
 def _threads(args) -> int | None:
-    """--threads, from 1 to the usable cores; None (the usable cores) when not given."""
+    """--threads, a whole number from 1 to the usable cores; None (the usable cores) when not given."""
     threads, cores = args.threads, usable_cores()
-    if threads is not None and threads < 1:
-        raise InvalidArgumentError(f"--threads must be >= 1, got {threads}")
-    if threads is not None and threads > cores:
+    if threads is not None and integral("--threads", threads, 1) > cores:
         raise InvalidArgumentError(f"--threads must be <= {cores}, the usable cores, got {threads}")
     return threads
 

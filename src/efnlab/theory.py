@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .alignment import Pool, align_rows, blocks, chunk_arrays, chunks, run_blocks
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, integral
 from .signals import TemplateSignal
 
 #: Fewest draws :func:`estimate_ck_profile` accepts.
@@ -164,8 +164,9 @@ def _moment_sums(template: TemplateSignal, kset: np.ndarray, seed, draws: int) -
 def alignment_moments(
     template: TemplateSignal, trials: int, seed, *, ks: Sequence[int], workers: Optional[int] | Pool = None,
 ) -> AlignmentMoments:
-    """Run ``trials`` single-observation alignments of unit noise and collect
-    the per-k moments of the residual-phase sine/cosine terms.
+    """Run ``trials`` (a whole number >= 1) single-observation alignments of
+    unit noise and collect the per-k moments of the residual-phase sine/cosine
+    terms at the bins ``ks`` (see :meth:`~efnlab.signals.TemplateSignal.require_bins`).
 
     The draws are split into keyed blocks (:func:`~efnlab.alignment.blocks`
     of ``seed``, an int or a SeedSequence) that run on up to ``workers``
@@ -184,8 +185,7 @@ def alignment_moments(
     count.
     """
     template.require_alignable()
-    if trials < 1:
-        raise InvalidArgumentError("alignment_moments needs at least 1 draw")
+    trials = integral("trials", trials, 1)
     kset = template.require_bins(ks)
     parts = run_blocks(_moment_sums, [(template, kset, ss, n) for ss, n in blocks(trials, seed)], workers)
     total = sum(parts)
@@ -216,14 +216,13 @@ def estimate_ck_profile(
     template: TemplateSignal, trials: int, seed, *, ks: Sequence[int], workers: Optional[int] | Pool = None,
 ) -> AlignmentMoments:
     """The unit-noise alignment moments and C_k at several frequencies, from
-    at least :data:`CK_MIN_DRAWS` draws.
+    ``trials`` draws, a whole number >= :data:`CK_MIN_DRAWS`.
 
     The numerator of C_k is the plain second moment of the sine term: its
     mean is 0 by the sign-flip symmetry of the argmax, so the second moment
     equals the variance the limit theorem wants.
     """
-    if trials < CK_MIN_DRAWS:
-        raise InvalidArgumentError(f"estimate_ck_profile needs at least {CK_MIN_DRAWS} trials")
+    trials = integral("trials", trials, CK_MIN_DRAWS)
     return alignment_moments(template, trials, seed, ks=ks, workers=workers)
 
 
@@ -232,7 +231,8 @@ def estimate_ck_profile(
 # ---------------------------------------------------------------------------
 
 def predict_phase_mse(template: TemplateSignal, ks, M: int) -> np.ndarray:
-    """Predicted phase MSE at bins ks for M observations: 1 / (4 |X[k]|^2 M ln d).
+    """Predicted phase MSE at bins ks for M observations, a whole number >= 1:
+    1 / (4 |X[k]|^2 M ln d).
 
     This is the d -> infinity limit: it uses a_d^2 = 2 ln d for the squared
     expected maximum of the correlation sequence.  At finite d with a white
@@ -241,8 +241,7 @@ def predict_phase_mse(template: TemplateSignal, ks, M: int) -> np.ndarray:
     at d = 2048, 1.17 at d = 2^20).  The fixed-d rate is C_k / M, with C_k
     from :func:`estimate_ck_profile`.
     """
-    if M < 1:
-        raise InvalidArgumentError("M must be >= 1")
+    M = integral("M", M, 1)
     return 1.0 / (4.0 * template.magnitudes[template.require_bins(ks)] ** 2 * M * math.log(template.d))
 
 

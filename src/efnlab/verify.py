@@ -21,7 +21,7 @@ from .alignment import (
     fourier_correlation_sequence,
     run_blocks,
 )
-from .errors import InsufficientDataError, InvalidArgumentError
+from .errors import InsufficientDataError, InvalidArgumentError, integral
 from .signals import (
     SignalFamilySpec,
     TemplateSignal,
@@ -42,9 +42,6 @@ from .theory import (
 
 #: One-sided 99% normal quantile, the package-wide strict-inequality bar.
 Z99 = 2.3263478740408408
-
-#: Fewest draws :func:`lemma1_check` accepts.
-LEMMA1_MIN_DRAWS = 100_000
 
 #: Fewest samples :func:`ks_statistic` accepts.
 KS_MIN_SAMPLES = 100
@@ -84,9 +81,9 @@ def _random_template(d: int, rng) -> TemplateSignal:
 
 def alignment_suite(cases: int, seed, d: int = 64) -> list[CheckRow]:
     """Exactness checks: dual correlation routes, argmax equality, transform
-    round trips, the shift group law, and shift-phase duality."""
-    if cases < 1:
-        raise InvalidArgumentError("alignment_suite needs at least 1 case")
+    round trips, the shift group law, and shift-phase duality, over ``cases``
+    random cases."""
+    cases = integral("alignment --cases", cases, COUNTS["alignment"][1])
     rng = np.random.default_rng(seed)
     worst_rel = 0.0
     agree = 0
@@ -142,8 +139,11 @@ def _symmetry_templates(d: int) -> list[tuple[str, TemplateSignal]]:
     ]
 
 
-def symmetry_suite(draws: int, seed, d: int = 64, workers: Optional[int] = None) -> list[CheckRow]:
-    """The sine term averages to zero; the cosine term is strictly positive."""
+def symmetry_suite(draws: int, seed, d: int = 64, workers: Optional[int] | Pool = None) -> list[CheckRow]:
+    """The sine term averages to zero; the cosine term is strictly positive,
+    over ``draws`` alignments per template on ``workers``, a worker count or a
+    :class:`~efnlab.alignment.Pool`."""
+    draws = integral("symmetry --draws", draws, COUNTS["symmetry"][1])
     rows = []
     freqs = [1, 5, 11]
     for i, (name, template) in enumerate(_symmetry_templates(d)):
@@ -176,10 +176,9 @@ def gumbel_suite(replicates: int, seed, d: int = 4096) -> list[CheckRow]:
     The maxima come from one stream, as one job, not keyed blocks: the
     fixed 0.05 bound fails on some seeds at the :data:`COUNTS` default (KS
     0.039 to 0.055 over seeds 0 to 19), so new draws would be a new gamble
-    on it.
+    on it.  ``replicates`` is checked against :data:`COUNTS` before any draw.
     """
-    if replicates < 1:
-        raise InvalidArgumentError("gumbel_suite needs at least 1 replicate")
+    replicates = integral("gumbel --replicates", replicates, COUNTS["gumbel"][1])
     a_d, b_d = gumbel_constants(d)
     rng = np.random.default_rng(seed)
     maxima = np.concatenate(
@@ -216,7 +215,7 @@ def _argmax_counts(cg, mean: np.ndarray, seed, draws: int) -> np.ndarray:
     return counts
 
 
-def prop3_case(d: int, draws: int, seed, workers: Optional[int] = None) -> tuple[float, float]:
+def prop3_case(d: int, draws: int, seed, workers: Optional[int] | Pool = None) -> tuple[float, float]:
     """Return (softmax value, Monte-Carlo E[f(argmax)]) for the pinned case.
 
     The Monte-Carlo side counts ``draws`` argmax samples of the conditional
@@ -224,12 +223,12 @@ def prop3_case(d: int, draws: int, seed, workers: Optional[int] = None) -> tuple
     zero-mean law gives the exact samples ``mean + z`` and ``mean - z``, so
     half as many rows are drawn.  ``mean`` is ``2 |X[k]| PROP3_NOISE_MAG
     f``, the law's cosine mean at the pinned noise magnitude and phase.
-    The draws run in keyed blocks of ``seed`` on up to ``workers``
-    processes; their argmax counts are integers, so the result does not
-    depend on the worker count.
+    ``draws`` is checked against :data:`COUNTS`.  The draws run in keyed
+    blocks of ``seed`` on up to ``workers`` processes, or on the
+    :class:`~efnlab.alignment.Pool` ``workers``; their argmax counts are
+    integers, so the result does not depend on the pool.
     """
-    if draws < 1:
-        raise InvalidArgumentError("prop3_case needs at least 1 draw")
+    draws = integral("prop3 --draws", draws, COUNTS["prop3"][1])
     spec = SignalFamilySpec(family="power-law-psd", d=d, beta=0.0, phase_seed=0)
     template = generate_template(spec)
     cg = build_conditional_gaussian(template, PROP3_K)
@@ -274,20 +273,21 @@ def _joint_counts(cg, mu: np.ndarray, seed, draws: int) -> np.ndarray:
 
 
 def lemma1_check(
-    template: TemplateSignal, k: int, phi: float, trials: int, seed, workers: Optional[int] = None
+    template: TemplateSignal, k: int, phi: float, trials: int, seed, workers: Optional[int] | Pool = None
 ) -> Lemma1Report:
     """Sample the +mu and -mu processes on common noise and tabulate argmaxes.
 
     Pairing the draws cancels most of the sampling noise in the frequency
     differences; standard errors come from the per-draw paired statistics.
-    The draws run in keyed blocks of ``seed`` on up to ``workers``
-    processes, and are counted in one integer histogram ``joint[r1, r2]`` of
-    the two argmaxes, chunk by chunk, so the report depends on neither the
-    chunk size nor the worker count.  The report gives the paired
-    differences and their standard errors (see :class:`Lemma1Report`).
+    ``trials`` is checked against lemma1's floor in :data:`COUNTS`.  The
+    draws run in keyed blocks of ``seed`` on up to ``workers`` processes, or
+    on the :class:`~efnlab.alignment.Pool` ``workers``, and are counted in
+    one integer histogram ``joint[r1, r2]`` of the two argmaxes, chunk by
+    chunk, so the report depends on neither the chunk size nor the pool.
+    The report gives the paired differences and their standard errors (see
+    :class:`Lemma1Report`).
     """
-    if trials < LEMMA1_MIN_DRAWS:
-        raise InsufficientDataError(f"lemma1_check needs at least {LEMMA1_MIN_DRAWS} draws")
+    trials = integral("lemma1 --draws", trials, COUNTS["lemma1"][1])
     d = template.d
     cg = build_conditional_gaussian(template, k)
     mu = np.cos(2.0 * np.pi * k * np.arange(d) / d + phi)
@@ -310,11 +310,12 @@ def lemma1_check(
     )
 
 
-def prop3_suite(draws: int, seed, workers: Optional[int] = None) -> list[CheckRow]:
+def prop3_suite(draws: int, seed, workers: Optional[int] | Pool = None) -> list[CheckRow]:
     """Softmax approximation of the argmax functional, normalized by max|f|=1.
 
     ``draws`` counts argmax samples per case, taken in antithetic pairs from
-    ``(draws + 1) // 2`` rows (see :func:`prop3_case`).
+    ``(draws + 1) // 2`` rows on ``workers``, a worker count or a
+    :class:`~efnlab.alignment.Pool` (see :func:`prop3_case`).
     """
     rows = []
     for d, tol in ((1024, 0.10), (4096, 0.05)):
@@ -323,8 +324,10 @@ def prop3_suite(draws: int, seed, workers: Optional[int] = None) -> list[CheckRo
     return rows
 
 
-def lemma1_suite(draws: int, seed, workers: Optional[int] = None) -> list[CheckRow]:
-    """Argmax-probability sign pattern at d=8, k=1 for three phase offsets."""
+def lemma1_suite(draws: int, seed, workers: Optional[int] | Pool = None) -> list[CheckRow]:
+    """Argmax-probability sign pattern at d=8, k=1 for three phase offsets,
+    each from ``draws`` draws on ``workers``, a worker count or a
+    :class:`~efnlab.alignment.Pool` (see :func:`lemma1_check`)."""
     d, k = 8, 1
     template = generate_template(SignalFamilySpec(family="delta", d=d))
     rows = []
@@ -361,14 +364,15 @@ POOLED = ("symmetry", "prop3", "lemma1")
 #: Each suite's one count and its seed, as (count flag, minimum count,
 #: default count, default seed).  :func:`run_suite` passes every suite its
 #: count and seed from here, checks the overrides against it and sizes the
-#: pool from the :data:`POOLED` suites' counts; the CLI declares its count
+#: pool from the :data:`POOLED` suites' counts; each suite also checks its
+#: count against its minimum here when called.  The CLI declares its count
 #: flags, and prints their defaults, minimums and seeds, from it.
 COUNTS = {
     "alignment": ("cases", 1, 1000, 12345),
     "symmetry": ("draws", 2, 100_000, 202),
     "gumbel": ("replicates", KS_MIN_SAMPLES, 10_000, 0),
     "prop3": ("draws", 1, 100_000, 31),
-    "lemma1": ("draws", LEMMA1_MIN_DRAWS, 200_000, 100),
+    "lemma1": ("draws", 100_000, 200_000, 100),
 }
 
 
@@ -383,8 +387,10 @@ def run_suite(name: str, workers: Optional[int] = None, **overrides) -> list[Che
     :data:`COUNTS` unless ``overrides`` give them.
 
     Overrides are checked before any suite runs: one that no suite run takes
-    is rejected (a misspelt one too, under 'all'), and every count must reach
-    its suite's minimum.  The command runs on one
+    is rejected (a misspelt one too, under 'all'), every count must be a
+    whole number at its suite's minimum and every seed one >= 0 (a whole
+    float runs as its int), or InvalidArgumentError names the suite and its
+    flag, as in ``alignment --cases``.  The command runs on one
     :class:`~efnlab.alignment.Pool` of up to ``workers`` processes (None: the
     usable cores), at most one per block of its largest loop.  The
     :data:`POOLED` suites run their blocks on it, and the one-stream suites
@@ -402,11 +408,8 @@ def run_suite(name: str, workers: Optional[int] = None, **overrides) -> list[Che
     kwargs = {}
     for suite in names:
         key, least, count, seed = COUNTS[suite]
-        kwargs[suite] = {key: given.get(key, count), "seed": given.get("seed", seed)}
-        if kwargs[suite][key] < least:
-            raise InvalidArgumentError(f"{suite} needs --{key} >= {least}, got {kwargs[suite][key]}")
-    if given.get("seed", 0) < 0:
-        raise InvalidArgumentError(f"{name} needs --seed >= 0, got {given['seed']}")
+        seed = integral(f"{suite} --seed", given.get("seed", seed), 0)
+        kwargs[suite] = {key: integral(f"{suite} --{key}", given.get(key, count), least), "seed": seed}
     pooled = [suite for suite in names if suite in POOLED]
     jobs = [suite for suite in names if suite not in POOLED]
     loops = [len(jobs), *(len(blocks(kwargs[s][COUNTS[s][0]], 0)) for s in pooled)]

@@ -18,7 +18,6 @@ def no_pool(monkeypatch):
 
 @pytest.fixture
 def few_lemma1_draws(monkeypatch):
-    """lemma1 takes any draw count: its floor in :data:`verify.COUNTS` and lemma1_check's are 1."""
+    """lemma1 takes any draw count: its floor in :data:`verify.COUNTS`, which lemma1_check reads too, is 1."""
     key, _, count, seed = verify.COUNTS["lemma1"]
     monkeypatch.setitem(verify.COUNTS, "lemma1", (key, 1, count, seed))
-    monkeypatch.setattr(verify, "LEMMA1_MIN_DRAWS", 1)

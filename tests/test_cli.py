@@ -7,6 +7,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import platform
 import re
 import sys
@@ -578,18 +579,23 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv, needs",
         [
-            (["alignment", "--cases", "0"], "--cases >= 1"),
-            (["alignment", "--cases", "-3"], "--cases >= 1"),
-            (["all", "--cases", "0"], "--cases >= 1"),
-            (["gumbel", "--replicates", "50"], "--replicates >= 100"),
-            (["gumbel", "--replicates", "0"], "--replicates >= 100"),
-            (["prop3", "--draws", "0"], "--draws >= 1"),
-            (["prop3", "--draws", "-5"], "--draws >= 1"),
-            (["symmetry", "--draws", "1"], "--draws >= 2"),
+            (["alignment", "--cases", "0"], "alignment --cases must be >= 1, got 0"),
+            (["alignment", "--cases", "-3"], "alignment --cases must be >= 1, got -3"),
+            (["all", "--cases", "0"], "alignment --cases must be >= 1, got 0"),
+            (["gumbel", "--replicates", "50"], "gumbel --replicates must be >= 100, got 50"),
+            (["gumbel", "--replicates", "0"], "gumbel --replicates must be >= 100, got 0"),
+            (["prop3", "--draws", "0"], "prop3 --draws must be >= 1, got 0"),
+            (["prop3", "--draws", "-5"], "prop3 --draws must be >= 1, got -5"),
+            (["symmetry", "--draws", "1"], "symmetry --draws must be >= 2, got 1"),
             (["gumbel", "--draws", "5"], "gumbel takes no --draws"),
-            (["alignment", "--seed", "-1", "--cases", "2"], "alignment needs --seed >= 0"),
-            (["gumbel", "--seed", "-3"], "gumbel needs --seed >= 0"),
+            (["alignment", "--seed", "-1", "--cases", "2"], "alignment --seed must be >= 0, got -1"),
+            (["gumbel", "--seed", "-3"], "gumbel --seed must be >= 0, got -3"),
         ],
+        # each case's id is its flag and bound, stable as the message wording changes
+        ids=[f"argv{i}-{bound}" for i, bound in enumerate([
+            *["--cases >= 1"] * 3, *["--replicates >= 100"] * 2, *["--draws >= 1"] * 2, "--draws >= 2",
+            "gumbel takes no --draws", "alignment needs --seed >= 0", "gumbel needs --seed >= 0",
+        ])],
     )
     def test_count_below_suite_minimum_is_usage_error(self, capsys, argv, needs):
         assert main(["verify", *argv]) == 2
@@ -718,6 +724,71 @@ class TestVerify:
 
     def test_lemma1_suite_quick(self, capsys):
         assert main(["verify", "lemma1", "--draws", "100000"]) == 0
+
+
+_PLAW = generate_template(SignalFamilySpec(family="power-law-psd", d=16, beta=1.0, phase_seed=1))
+_DELTA = generate_template(SignalFamilySpec(family="delta", d=8))
+
+#: Each count, seed or worker number of a Python entry point or of ``efn
+#: verify``: (entry point, its call with that value, the field its error
+#: names, its floor).
+_COUNTED = [
+    ("run_suite", lambda v: verify.run_suite("alignment", 1, cases=v), "alignment --cases", 1),
+    ("run_suite seed", lambda v: verify.run_suite("alignment", 1, cases=2, seed=v), "alignment --seed", 0),
+    ("alignment_suite", lambda v: verify.alignment_suite(v, 0), "alignment --cases", 1),
+    ("symmetry_suite", lambda v: verify.symmetry_suite(v, 0, workers=1), "symmetry --draws", 2),
+    ("gumbel_suite", lambda v: verify.gumbel_suite(v, 0, d=64), "gumbel --replicates", 100),
+    ("prop3_case", lambda v: verify.prop3_case(64, v, 0, 1), "prop3 --draws", 1),
+    ("lemma1_check", lambda v: verify.lemma1_check(_DELTA, 1, 0.0, v, 0, 1), "lemma1 --draws", 100_000),
+    ("alignment_moments", lambda v: theory.alignment_moments(_PLAW, v, 0, ks=[1], workers=1), "trials", 1),
+    ("estimate_ck_profile", lambda v: theory.estimate_ck_profile(_PLAW, v, 0, ks=[1], workers=1), "trials", 1000),
+    ("predict_phase_mse", lambda v: theory.predict_phase_mse(_PLAW, [1], v), "M", 1),
+    ("pool_size", lambda v: alignment.pool_size(v, 4), "workers", 1),
+    ("_threads", lambda v: cli._threads(argparse.Namespace(threads=v)), "--threads", 1),
+]
+
+
+class TestCountRule:
+    """Every count, seed and worker number is checked by ``errors.integral``:
+    a whole number at its floor, a whole float as its int."""
+
+    @pytest.mark.parametrize(
+        "run, field, value, message",
+        [
+            pytest.param(run, field, value, f"{field} must be an integer, got {value!r}", id=f"{name}={value!r}")
+            for name, run, field, _ in _COUNTED
+            for value in (True, 2.5, "3")
+        ] + [
+            # below its floor, pool_size and _threads keep the text that test_workers_below_one_rejected
+            # and test_threads_below_one_is_usage_error check
+            pytest.param(
+                run, field, least - 1, f"{field} must be >= {least}, got {least - 1}", id=f"{name}={least - 1}"
+            )
+            for name, run, field, least in _COUNTED
+            if name not in ("pool_size", "_threads")
+        ],
+    )
+    def test_a_count_that_is_no_whole_number_at_its_floor_is_rejected(self, no_pool, run, field, value, message):
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+            run(value)
+
+    @pytest.mark.parametrize(
+        "run, count",
+        [
+            (lambda n: verify.run_suite("alignment", 1, cases=n, seed=n), 20),
+            (lambda n: verify.run_suite("gumbel", 1, replicates=n), 100),
+            (lambda n: verify.prop3_case(64, n, 0, 1), 1000),
+            (lambda n: verify.lemma1_check(_DELTA, 1, 0.0, n, 0, 1), 100_000),
+            (lambda n: theory.estimate_ck_profile(_PLAW, n, 0, ks=[1, 5], workers=1), 1000),
+            (lambda n: theory.predict_phase_mse(_PLAW, [1, 5], n), 7),
+            (lambda n: alignment.pool_size(n, 4), 2),
+        ],
+        ids=["run_suite", "gumbel n=", "prop3_case", "lemma1_check", "estimate_ck_profile", "predict_phase_mse",
+             "pool_size"],
+    )
+    def test_a_whole_float_count_runs_as_its_int(self, no_pool, run, count):
+        # pickled, so the results are equal down to the int in a row name or field
+        assert pickle.dumps(run(float(count))) == pickle.dumps(run(count))
 
 
 class TestGenTemplate:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -244,10 +245,11 @@ class TestTemplateInvariants:
 class TestRequireBins:
     def test_returns_the_bins_as_an_int_array(self):
         t = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=16, beta=1.0))
-        ks = t.require_bins((1, 5, 15))
-        assert ks.dtype == np.dtype(int) and ks.tolist() == [1, 5, 15]
-        one = t.require_bins(3)
-        assert one.dtype == np.dtype(int) and one == 3
+        for bins, one_bin in (((1, 5, 15), 3), ([1.0, 5.0, 15.0], np.float64(3.0))):  # a whole float is its int
+            ks = t.require_bins(bins)
+            assert ks.dtype == np.dtype(int) and ks.tolist() == [1, 5, 15]
+            one = t.require_bins(one_bin)
+            assert one.dtype == np.dtype(int) and one.shape == () and one == 3
         assert t.require_bins(()).dtype == np.dtype(int) and t.require_bins(()).size == 0
 
     def test_names_the_first_excluded_bin(self):
@@ -260,12 +262,31 @@ class TestRequireBins:
             with pytest.raises(ExcludedBinError, match="^bin 0 excluded"):
                 zero_dc.require_bins(ks)
 
-    @pytest.mark.parametrize("ks, bad", [(16, 16), ([1, 16, 17], 16), ([2, -1], -1)])
+    @pytest.mark.parametrize("ks, bad", [(16, 16), ([1, 16, 17], 16), ([2, -1], -1), ([16.0], 16)])
     def test_rejects_a_bin_outside_the_range(self, ks, bad):
         t = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=16, beta=1.0))
         with pytest.raises(InvalidArgumentError, match=f"frequency index {bad} out of range for d=16") as exc:
             t.require_bins(ks)
         assert not isinstance(exc.value, ExcludedBinError)
+
+    @pytest.mark.parametrize(
+        "ks, bad", [([1.7], "1.7"), ([True], "True"), (["3"], "'3'"), (2.5, "2.5"), ([1, 2.5], "2.5")]
+    )
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda t, ks: t.require_bins(ks),
+            lambda t, ks: E.predict_magnitude(t, ks),
+            lambda t, ks: E.predict_phase_mse(t, ks, 10),
+            lambda t, ks: E.alignment_moments(t, 10, 0, ks=ks, workers=1),
+        ],
+        ids=["require_bins", "predict_magnitude", "predict_phase_mse", "alignment_moments"],
+    )
+    def test_rejects_a_bin_that_is_not_a_whole_number(self, read, ks, bad):
+        # a config's frequencies are checked the same way; no bin is rounded or cast
+        t = E.generate_template(E.SignalFamilySpec(family="power-law-psd", d=16, beta=1.0))
+        with pytest.raises(InvalidArgumentError, match=f"^frequencies must be an integer, got {re.escape(bad)}$"):
+            read(t, ks)
 
 
 class TestNoiseDistribution:

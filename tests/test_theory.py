@@ -7,7 +7,7 @@ import pytest
 
 import efnlab as E
 from efnlab import alignment, experiment, verify
-from efnlab.errors import ExcludedBinError, InsufficientDataError, InvalidArgumentError
+from efnlab.errors import ExcludedBinError, InvalidArgumentError
 
 
 def delta(d):
@@ -374,7 +374,7 @@ class TestLemma1:
         assert sum(drawn) == sum((size + 1) // 2 for _, size in alignment.blocks(n, 2))
 
     def test_insufficient_draws_rejected(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InvalidArgumentError, match="lemma1 --draws must be >= 100000, got 50000"):
             E.lemma1_check(delta(8), 1, 0.0, 50_000, 0)
 
     def test_chunk_size_invariant(self, monkeypatch):
