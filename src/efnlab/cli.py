@@ -4,8 +4,8 @@ Commands
 --------
 run           Run the experiment described by a JSON config; writes stats.csv,
               summary.json, and manifest.json.
-figure        Desk-scale analog of one of the headline plots (2b, 2c, 3, 4b,
-              4c); emits plot-ready CSV plus manifest.
+figure        Desk-scale analog of a headline plot (2b, 2c, 3, 4b, 4c): a run of
+              its built-in config document; writes plot-ready CSV plus manifest.
 verify        Run a named verification suite and print a pass/fail table.
 gen-template  Write a template signal to JSON or CSV.
 version       Print the tool version.
@@ -34,19 +34,10 @@ import numpy as np
 from . import __version__
 from .alignment import usable_cores
 from .errors import InvalidArgumentError, integral
-from .experiment import (
-    AggregateStats,
-    ExperimentConfig,
-    SweepSpec,
-    Telemetry,
-    run_experiment,
-    run_sweep,
-)
+from .experiment import AggregateStats, ExperimentConfig, Telemetry, run_experiment, run_sweep
 from .signals import SignalFamilySpec, generate_template
 from .theory import CK_MIN_DRAWS
 from .verify import COUNTS, SUITES, run_suite
-
-_FIGURE_IDS = ("2b", "2c", "3", "4b", "4c")
 
 #: The per-frequency statistics, in the order ``summary.json`` lists them.
 STATS_COLUMNS = (
@@ -56,6 +47,35 @@ STATS_COLUMNS = (
 )
 #: The columns of ``stats.csv`` after any sweep-axis column.
 CSV_COLUMNS = ("k", *STATS_COLUMNS, "mse_ratio_thm2")
+#: The phase MSE columns of a figure's CSV, as (header, :class:`AggregateStats` attribute).
+_MSE_COLUMNS = (
+    ("mse", "phase_mse"), ("stderr", "phase_mse_stderr"), ("thm2_prediction", "predicted_mse_thm2"),
+    ("thm1_prediction", "predicted_mse_thm1"), ("thm1_prediction_stderr", "predicted_mse_thm1_stderr"),
+)
+
+
+def _power_law(d: int, beta: float) -> dict:
+    """A figure's power-law template document."""
+    return {"family": "power-law-psd", "d": d, "beta": beta, "phase_seed": 1}
+
+
+#: Each figure's config document, in the shape of a ``--config`` file, by figure id.
+_FIGURES = {
+    "2b": {"template": _power_law(256, 1.0), "trials": 200, "frequencies": list(range(1, 128)),
+           "sweep": {"axis": "M", "values": [200, 500, 1500, 5000]}},
+    "2c": {"template": _power_law(1024, 1.0), "trials": 200, "frequencies": [1, 2, 3, 4, 6, 8, 12, 16, 24, 32],
+           "sweep": {"axis": "M", "values": [200, 500, 1500, 5000]}},
+    "3": {"template": _power_law(512, 2.0), "M": 1000, "trials": 200,
+          "sweep": {"axis": "beta", "values": [0.0, 1.0, 2.0]}},
+    "4b": {"template": _power_law(512, 0.0), "M": 2000, "trials": 100,
+           "sweep": {"axis": "d", "values": [512, 2048, 8192]}},
+    "4c": {"template": _power_law(2048, 0.0), "M": 2000, "trials": 500, "frequencies": list(range(1, 1024))},
+}
+#: Figure 3 with ``--pad``: a zero-padded pulse, swept over its pad ratio.
+_FIGURE3_PAD = {
+    **_FIGURES["3"], "template": {**_power_law(512, 2.0), "family": "zero-padded-pulse"},
+    "sweep": {"axis": "pad-ratio", "values": [0.0, 1.0, 3.0]},
+}
 
 
 def _fmt(v) -> str:
@@ -102,9 +122,9 @@ def _threads(args) -> int | None:
     return threads
 
 
-def _flag_fields(args) -> dict:
-    """The config fields that the given flags set: a flag's dest is the field it overrides."""
-    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+def _flag_fields(args, cls=ExperimentConfig) -> dict:
+    """The fields of dataclass ``cls`` that the given flags set: a flag's dest is the field it sets."""
+    fields = {f.name for f in dataclasses.fields(cls)}
     return {k: v for k, v in vars(args).items() if k in fields and v is not None}
 
 
@@ -180,63 +200,34 @@ def cmd_run(args) -> int:
 
 
 def _figure_config(figure: str, args) -> ExperimentConfig:
-    """The figure's config at its default trial count and seed, then the flags."""
+    """The figure's config document at master seed 77, then the flags, built as ``_load_config`` builds a file's."""
+    if figure not in _FIGURES:
+        raise InvalidArgumentError(f"unknown figure id {figure!r}; choose from {tuple(_FIGURES)}")
     if args.pad and figure != "3":
         raise InvalidArgumentError(f"--pad applies to figure 3 only, not figure {figure}")
-    if figure in ("2b", "2c"):
-        d, ks = (256, range(1, 128)) if figure == "2b" else (1024, (1, 2, 3, 4, 6, 8, 12, 16, 24, 32))
-        config = ExperimentConfig(
-            template=SignalFamilySpec(family="power-law-psd", d=d, beta=1.0, phase_seed=1),
-            trials=200, frequencies=ks,
-            sweep=SweepSpec("M", (200, 500, 1500, 5000)),
-        )
-    elif figure == "3":
-        axis = "pad-ratio" if args.pad else "beta"
-        values = (0.0, 1.0, 3.0) if args.pad else (0.0, 1.0, 2.0)
-        family = "zero-padded-pulse" if args.pad else "power-law-psd"
-        config = ExperimentConfig(
-            template=SignalFamilySpec(family=family, d=512, beta=2.0, phase_seed=1),
-            M=1000, trials=200, sweep=SweepSpec(axis, values),
-        )
-    elif figure == "4b":
-        config = ExperimentConfig(
-            template=SignalFamilySpec(family="power-law-psd", d=512, beta=0.0, phase_seed=1),
-            M=2000, trials=100, sweep=SweepSpec("d", (512, 2048, 8192)),
-        )
-    else:  # 4c
-        config = ExperimentConfig(
-            template=SignalFamilySpec(family="power-law-psd", d=2048, beta=0.0, phase_seed=1),
-            M=2000, trials=500, frequencies=tuple(range(1, 1024)),
-        )
-    return dataclasses.replace(config, **{"master_seed": 77, **_flag_fields(args)})
+    doc = _FIGURE3_PAD if args.pad else _FIGURES[figure]
+    return ExperimentConfig.from_dict({**doc, "master_seed": 77, **_flag_fields(args)})
 
 
 def cmd_figure(args) -> int:
+    """Run the figure's config and write its CSV, whose table follows the run's shape: an M sweep
+    gives (M, k) rows of the MSE columns, any other sweep one Pearson row per value, and a run
+    without a sweep per-k rows with the template magnitude and the thm2 ratio."""
     t0 = time.time()
-    if args.figure not in _FIGURE_IDS:
-        raise InvalidArgumentError(f"unknown figure id {args.figure!r}; choose from {_FIGURE_IDS}")
     config = _figure_config(args.figure, args)
     out_dir, telemetry, result = _run_config(config, args)
-    if args.figure in ("2b", "2c"):
-        header = ["M", "k", "mse", "stderr", "thm2_prediction", "thm1_prediction", "thm1_prediction_stderr"]
-        columns = [
-            "phase_mse", "phase_mse_stderr", "predicted_mse_thm2", "predicted_mse_thm1", "predicted_mse_thm1_stderr"
-        ]
-        rows = [[M, *row] for M, stats in result for row in _stats_rows(stats, columns)]
-    elif args.figure in ("3", "4b"):
+    if config.sweep is None:
+        names, attrs = zip(*_MSE_COLUMNS[:3], ("mse_ratio_thm2", "mse_ratio_thm2"), *_MSE_COLUMNS[3:])
+        magnitudes = generate_template(config.template).magnitudes
+        header = ["k", "template_magnitude", *names]
+        rows = [[k, magnitudes[k], *rest] for k, *rest in _stats_rows(result, attrs)]
+    elif config.sweep.axis == "M":
+        names, attrs = zip(*_MSE_COLUMNS)
+        header = ["M", "k", *names]
+        rows = [[M, *row] for M, stats in result for row in _stats_rows(stats, attrs)]
+    else:
         header = [config.sweep.axis, "pearson", "stderr"]
         rows = [[v, s.mean_pearson, s.pearson_stderr] for v, s in result]
-    else:  # 4c
-        template = generate_template(config.template)
-        header = [
-            "k", "template_magnitude", "mse", "stderr", "thm2_prediction", "mse_ratio_thm2",
-            "thm1_prediction", "thm1_prediction_stderr",
-        ]
-        columns = [
-            "phase_mse", "phase_mse_stderr", "predicted_mse_thm2", "mse_ratio_thm2",
-            "predicted_mse_thm1", "predicted_mse_thm1_stderr",
-        ]
-        rows = [[k, template.magnitudes[k], *rest] for k, *rest in _stats_rows(result, columns)]
     tables = {f"figure{args.figure}.csv": (header, rows)}
     _write_outputs(out_dir, f"figure {args.figure}", config, tables, t0, telemetry)
     return 0
@@ -254,6 +245,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen_template(args) -> int:
+    """Write the template that the flags describe, each setting the spec field its dest names."""
     out = Path(args.out)
     suffix = out.suffix.lower()
     if suffix not in (".json", ".csv"):
@@ -261,15 +253,7 @@ def cmd_gen_template(args) -> int:
     if out.is_dir():
         raise InvalidArgumentError(f"--out: {out} is a directory")
     _out_dir(out.parent)
-    spec = SignalFamilySpec(
-        family=args.family,
-        d=args.d,
-        beta=args.beta,
-        pad_ratio=args.pad_ratio,
-        phase_seed=args.phase_seed,
-        zero_dc=not args.keep_dc,
-    )
-    template = generate_template(spec)
+    template = generate_template(SignalFamilySpec(**_flag_fields(args, SignalFamilySpec), zero_dc=not args.keep_dc))
     out.parent.mkdir(parents=True, exist_ok=True)
     if suffix == ".csv":
         _write_csv(out, ["sample"], [[v] for v in template.samples])
@@ -303,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(fn=cmd_run)
 
     fig_p = sub.add_parser("figure", parents=[shared], help="reproduce a headline-figure analog")
-    fig_p.add_argument("figure", help="one of: " + ", ".join(_FIGURE_IDS))
+    fig_p.add_argument("figure", help="one of: " + ", ".join(_FIGURES))
     fig_p.add_argument("--pad", action="store_true", help="figure 3: sweep pad ratio instead of beta")
     fig_p.set_defaults(fn=cmd_figure)
 

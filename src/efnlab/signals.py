@@ -103,20 +103,25 @@ class TemplateSignal:
                 f"({NON_VANISHING_FLOOR:g} relative)"
             )
 
-    def require_bins(self, ks) -> np.ndarray:
-        """The bins ``ks`` (an array, or one bin) as an int array; raises ExcludedBinError
-        for the first whose magnitude is at or below the floor, such as a zeroed DC bin.
+    def bins(self, ks) -> np.ndarray:
+        """The bins ``ks`` (an array, or one bin) as an int array in [0, d - 1].
 
         Bins are whole numbers, as a config's frequencies are: a whole float
         counts, and 1.7, a bool or a string raises InvalidArgumentError.
         """
-        ks, mags = np.asarray(ks), self.magnitudes
+        ks = np.asarray(ks)
         if ks.dtype.kind not in "iu":  # each entry checked; an int array passes as it is
             ks = np.reshape([integral("frequencies", k, -math.inf) for k in ks.ravel().tolist()], ks.shape)
         ks = ks.astype(int, copy=False)
         bad = ks[(ks < 0) | (ks > self.d - 1)]
         if bad.size:
             raise InvalidArgumentError(f"frequency index {bad[0]} out of range for d={self.d}")
+        return ks
+
+    def require_bins(self, ks) -> np.ndarray:
+        """:meth:`bins`, and ExcludedBinError for the first bin whose magnitude is at
+        or below the floor, such as a zeroed DC bin: it has no phase to estimate."""
+        ks, mags = self.bins(ks), self.magnitudes
         bad = ks[mags[ks] <= NON_VANISHING_FLOOR * mags.max()]
         if bad.size:
             raise ExcludedBinError(

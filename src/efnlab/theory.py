@@ -40,10 +40,10 @@ def build_conditional_gaussian(template: TemplateSignal, k: int) -> np.ndarray:
     every bin l but the conditioned pair (k, d-k), where w is 0; scaled to a
     unit diagonal, h^2 = d w / sum(w) at bins 0 .. d/2.  The law's cosine
     mean, 2 |X[k]| |N[k]| cos(2*pi*k*r/d + phi_N - phi_X[k]), is the caller's.
+    ``k`` is a bin as :meth:`~efnlab.signals.TemplateSignal.bins` checks
+    it; one of zero magnitude, such as a zeroed DC bin, is conditioned on too.
     """
-    d = template.d
-    if not (0 <= k <= d - 1):
-        raise InvalidArgumentError(f"frequency index {k} out of range for d={d}")
+    d, k = template.d, int(template.bins(k))
     w = template.magnitudes**2
     w[[k, (d - k) % d]] = 0.0
     total = w.sum()
@@ -80,9 +80,9 @@ def sample_cyclostationary(cg: np.ndarray, rng, size: int) -> np.ndarray:
 def gumbel_constants(d: int) -> tuple[float, float]:
     """(a_d, b_d), the normalizing constants for the maximum of d
     near-independent Gaussians: a_d = sqrt(2 ln d);
-    b_d = a_d - (ln ln d + ln 4*pi) / (2 a_d)."""
-    if d < 3:
-        raise InvalidArgumentError("gumbel constants need d >= 3 (ln ln d must be defined)")
+    b_d = a_d - (ln ln d + ln 4*pi) / (2 a_d).  ``d`` is a whole number
+    >= 3, so that ln ln d is defined."""
+    d = integral("d", d, 3)
     a = math.sqrt(2.0 * math.log(d))
     b = a - (math.log(math.log(d)) + math.log(4.0 * math.pi)) / (2.0 * a)
     return a, b

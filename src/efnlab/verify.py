@@ -82,8 +82,9 @@ def _random_template(d: int, rng) -> TemplateSignal:
 def alignment_suite(cases: int, seed, d: int = 64) -> list[CheckRow]:
     """Exactness checks: dual correlation routes, argmax equality, transform
     round trips, the shift group law, and shift-phase duality, over ``cases``
-    random cases."""
+    random cases.  ``cases`` and ``seed`` are checked as :func:`run_suite` checks them."""
     cases = integral("alignment --cases", cases, COUNTS["alignment"][1])
+    seed = integral("alignment --seed", seed, 0)
     rng = np.random.default_rng(seed)
     worst_rel = 0.0
     agree = 0
@@ -142,8 +143,10 @@ def _symmetry_templates(d: int) -> list[tuple[str, TemplateSignal]]:
 def symmetry_suite(draws: int, seed, d: int = 64, workers: Optional[int] | Pool = None) -> list[CheckRow]:
     """The sine term averages to zero; the cosine term is strictly positive,
     over ``draws`` alignments per template on ``workers``, a worker count or a
-    :class:`~efnlab.alignment.Pool`."""
+    :class:`~efnlab.alignment.Pool`.  ``draws`` and ``seed`` are checked as
+    :func:`run_suite` checks them; template i draws from seed + i."""
     draws = integral("symmetry --draws", draws, COUNTS["symmetry"][1])
+    seed = integral("symmetry --seed", seed, 0)
     rows = []
     freqs = [1, 5, 11]
     for i, (name, template) in enumerate(_symmetry_templates(d)):
@@ -176,9 +179,11 @@ def gumbel_suite(replicates: int, seed, d: int = 4096) -> list[CheckRow]:
     The maxima come from one stream, as one job, not keyed blocks: the
     fixed 0.05 bound fails on some seeds at the :data:`COUNTS` default (KS
     0.039 to 0.055 over seeds 0 to 19), so new draws would be a new gamble
-    on it.  ``replicates`` is checked against :data:`COUNTS` before any draw.
+    on it.  ``replicates``, ``seed`` and ``d`` (see :func:`gumbel_constants`)
+    are checked before any draw.
     """
     replicates = integral("gumbel --replicates", replicates, COUNTS["gumbel"][1])
+    seed = integral("gumbel --seed", seed, 0)
     a_d, b_d = gumbel_constants(d)
     rng = np.random.default_rng(seed)
     maxima = np.concatenate(
@@ -223,12 +228,13 @@ def prop3_case(d: int, draws: int, seed, workers: Optional[int] | Pool = None) -
     zero-mean law gives the exact samples ``mean + z`` and ``mean - z``, so
     half as many rows are drawn.  ``mean`` is ``2 |X[k]| PROP3_NOISE_MAG
     f``, the law's cosine mean at the pinned noise magnitude and phase.
-    ``draws`` is checked against :data:`COUNTS`.  The draws run in keyed
-    blocks of ``seed`` on up to ``workers`` processes, or on the
-    :class:`~efnlab.alignment.Pool` ``workers``; their argmax counts are
-    integers, so the result does not depend on the pool.
+    ``draws`` and ``seed`` are checked as :func:`run_suite` checks them.
+    The draws run in keyed blocks of ``seed`` on up to ``workers``
+    processes, or on the :class:`~efnlab.alignment.Pool` ``workers``; their
+    argmax counts are integers, so the result does not depend on the pool.
     """
     draws = integral("prop3 --draws", draws, COUNTS["prop3"][1])
+    seed = integral("prop3 --seed", seed, 0)
     spec = SignalFamilySpec(family="power-law-psd", d=d, beta=0.0, phase_seed=0)
     template = generate_template(spec)
     cg = build_conditional_gaussian(template, PROP3_K)
@@ -279,7 +285,8 @@ def lemma1_check(
 
     Pairing the draws cancels most of the sampling noise in the frequency
     differences; standard errors come from the per-draw paired statistics.
-    ``trials`` is checked against lemma1's floor in :data:`COUNTS`.  The
+    ``trials`` and ``seed`` are checked as :func:`run_suite` checks lemma1's,
+    and ``k`` as :meth:`~efnlab.signals.TemplateSignal.bins` checks a bin.  The
     draws run in keyed blocks of ``seed`` on up to ``workers`` processes, or
     on the :class:`~efnlab.alignment.Pool` ``workers``, and are counted in
     one integer histogram ``joint[r1, r2]`` of the two argmaxes, chunk by
@@ -288,6 +295,7 @@ def lemma1_check(
     :class:`Lemma1Report`).
     """
     trials = integral("lemma1 --draws", trials, COUNTS["lemma1"][1])
+    seed = integral("lemma1 --seed", seed, 0)
     d = template.d
     cg = build_conditional_gaussian(template, k)
     mu = np.cos(2.0 * np.pi * k * np.arange(d) / d + phi)

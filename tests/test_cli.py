@@ -42,6 +42,10 @@ def write_config(path, **overrides):
     return path
 
 
+def csv_rows(path) -> list[dict]:
+    return list(csv.DictReader(path.read_text().splitlines()))
+
+
 def _fail_in_worker(*args, **kwargs):
     raise RuntimeError(f"a block failed in worker {os.getpid()}")
 
@@ -506,6 +510,23 @@ class TestFigure:
         thm1, thm1_se = (np.array([float(r[i]) for r in rows]) for i in (6, 7))
         assert np.all(thm1 > 0) and np.all((thm1_se > 0) & (thm1_se < thm1))
 
+    @pytest.mark.parametrize(
+        "figure, column, run_column",
+        [
+            ("2c", "mse", lambda out: [float(row["phase_mse"]) for row in csv_rows(out / "stats.csv")]),
+            ("3", "pearson", lambda out: [s["mean_pearson"] for s in json.loads((out / "summary.json").read_text())]),
+        ],
+    )
+    def test_figure_is_a_run_of_its_manifest_config(self, tmp_path, figure, column, run_column):
+        # a figure runs its built-in config document, so efn run on its manifest's config gives its numbers
+        fig, run = tmp_path / "fig", tmp_path / "run"
+        assert main(["figure", figure, "--out", str(fig), "--trials", "2"]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(json.loads((fig / "manifest.json").read_text())["config"]))
+        assert main(["run", "--config", str(config), "--out", str(run)]) == 0
+        want = [float(row[column]) for row in csv_rows(fig / f"figure{figure}.csv")]
+        assert run_column(run) == want and len(want) == (40 if figure == "2c" else 3)
+
 
 def bench_flat_config(monkeypatch) -> dict:
     """The config the benchmark's flat_hd workload writes, from ``bench/run.py``."""
@@ -745,11 +766,20 @@ _COUNTED = [
     ("predict_phase_mse", lambda v: theory.predict_phase_mse(_PLAW, [1], v), "M", 1),
     ("pool_size", lambda v: alignment.pool_size(v, 4), "workers", 1),
     ("_threads", lambda v: cli._threads(argparse.Namespace(threads=v)), "--threads", 1),
+    ("build_conditional_gaussian k", lambda v: theory.build_conditional_gaussian(_PLAW, v), "frequencies", 0),
+    ("lemma1_check k", lambda v: verify.lemma1_check(_DELTA, v, 0.0, 100_000, 0, 1), "frequencies", 0),
+    ("gumbel_constants", theory.gumbel_constants, "d", 3),
+    ("gumbel_suite d", lambda v: verify.gumbel_suite(100, 0, d=v), "d", 3),
+    ("alignment_suite seed", lambda v: verify.alignment_suite(1, v), "alignment --seed", 0),
+    ("symmetry_suite seed", lambda v: verify.symmetry_suite(2, v, workers=1), "symmetry --seed", 0),
+    ("gumbel_suite seed", lambda v: verify.gumbel_suite(100, v, d=64), "gumbel --seed", 0),
+    ("prop3_case seed", lambda v: verify.prop3_case(64, 1, v, 1), "prop3 --seed", 0),
+    ("lemma1_check seed", lambda v: verify.lemma1_check(_DELTA, 1, 0.0, 100_000, v, 1), "lemma1 --seed", 0),
 ]
 
 
 class TestCountRule:
-    """Every count, seed and worker number is checked by ``errors.integral``:
+    """Every count, seed, worker number, bin and ``d`` is checked by ``errors.integral``:
     a whole number at its floor, a whole float as its int."""
 
     @pytest.mark.parametrize(
@@ -760,12 +790,12 @@ class TestCountRule:
             for value in (True, 2.5, "3")
         ] + [
             # below its floor, pool_size and _threads keep the text that test_workers_below_one_rejected
-            # and test_threads_below_one_is_usage_error check
+            # and test_threads_below_one_is_usage_error check, and a bin is out of range (test_signals)
             pytest.param(
                 run, field, least - 1, f"{field} must be >= {least}, got {least - 1}", id=f"{name}={least - 1}"
             )
             for name, run, field, least in _COUNTED
-            if name not in ("pool_size", "_threads")
+            if name not in ("pool_size", "_threads") and field != "frequencies"
         ],
     )
     def test_a_count_that_is_no_whole_number_at_its_floor_is_rejected(self, no_pool, run, field, value, message):
@@ -782,9 +812,12 @@ class TestCountRule:
             (lambda n: theory.estimate_ck_profile(_PLAW, n, 0, ks=[1, 5], workers=1), 1000),
             (lambda n: theory.predict_phase_mse(_PLAW, [1, 5], n), 7),
             (lambda n: alignment.pool_size(n, 4), 2),
+            (lambda n: theory.build_conditional_gaussian(_PLAW, n), 3),
+            (lambda n: verify.alignment_suite(20, n), 3),
+            (lambda n: verify.prop3_case(64, 1000, n, 1), 3),
         ],
         ids=["run_suite", "gumbel n=", "prop3_case", "lemma1_check", "estimate_ck_profile", "predict_phase_mse",
-             "pool_size"],
+             "pool_size", "build_conditional_gaussian k", "alignment_suite seed", "prop3_case seed"],
     )
     def test_a_whole_float_count_runs_as_its_int(self, no_pool, run, count):
         # pickled, so the results are equal down to the int in a row name or field
